@@ -8,12 +8,27 @@ seed makes the workload's inputs, ``--seconds`` is how long the timed loop
 runs (whole rounds only), and ``--trace 1`` makes the run report per-layer
 metrics instead of end-to-end ones.  The last line of standard output is one
 JSON object: correct, attempted, failed and metrics.  Details (workload
-make-up, per-call timings, problems found) go to ``.perfbench_out/``.
+make-up, per-request wall and CPU timings, problems found) go to
+``.perfbench_out/``.
+
+Every request is timed three ways: in wall-clock time, in the CPU time of
+the main thread, and as that CPU time scaled to a reference machine speed
+(``speed.py``).  The client is the main thread and the program runs at
+``--jobs 1`` in it, so that CPU time is the request's own work.
+The bounded figures are the scaled ones: on a virtual machine that shares
+its cores, the same work takes up to twice as long in some seconds as in
+others, in CPU time as much as in wall time.  The wall-clock and CPU
+figures go to the details file.
 """
 
-from time import perf_counter
+from time import perf_counter, thread_time
 
-_START = perf_counter()  # set-up is timed from here: imports and inputs
+_START = perf_counter()  # for the wall-clock set-up in the details file
+
+from speed import SETUP_INTERVAL_S, Speed  # noqa: E402  (the script's own directory)
+
+SPEED = Speed()
+SPEED.start(SETUP_INTERVAL_S)  # set-up is sampled from here on
 
 import argparse  # noqa: E402
 import io  # noqa: E402
@@ -25,6 +40,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import traceback  # noqa: E402
+from array import array  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -84,22 +100,99 @@ class Client:
         return None
 
 
-def _timed(tracer, call, *args):
-    """(seconds, result) of one request; under a root span when tracing."""
-    start = perf_counter()
-    result = tracer.request(call, *args) if tracer else call(*args)
-    return perf_counter() - start, result
+class Meter:
+    """Times every request of every round: wall seconds, CPU seconds of the
+    main thread and those CPU seconds at the reference speed (``speed.py``);
+    the CPU seconds leave out the speed samples taken during the request.
+
+    Given a tracer, every other request runs with the tracer installed:
+    request k of round r is traced when k + r is odd.  Traced and untraced
+    requests then interleave in time, so a slow spell of the host weighs on
+    both alike, and over two rounds every request is run once each way.
+    """
+
+    def __init__(self, client, speed: Speed, tracer=None):
+        self.client = client
+        self.speed = speed
+        self.tracer = tracer
+        # per request, in order: wall s, cpu s, scaled s, traced (0 or 1);
+        # arrays, so that the benchmark's own memory hardly grows with the run
+        self.columns = (array("d"), array("d"), array("d"), array("b"))
+        self.rounds = 0
+        self._position = 0  # of the next request in its round
+
+    def new_round(self) -> None:
+        self.rounds += 1
+        self._position = 0
+
+    @property
+    def per_round(self) -> int:
+        return len(self.columns[TRACED]) // self.rounds
+
+    def call(self, argv: list[str]) -> str | None:
+        traced = self.tracer is not None and (self._position + self.rounds) % 2 == 1
+        self._position += 1
+        self.speed.mark()
+        if traced:
+            self.tracer.install()
+        try:
+            wall, cpu = perf_counter(), thread_time()
+            if traced:
+                text = self.tracer.request(self.client.call, argv)
+            else:
+                text = self.client.call(argv)
+            cpu_end, wall_end = thread_time(), perf_counter()
+        finally:
+            if traced:
+                self.tracer.uninstall()
+        own, scaled = self.speed.measure(cpu, cpu_end - cpu)
+        for column, value in zip(self.columns, (wall_end - wall, own, scaled, traced)):
+            column.append(value)
+        return text
+
+    def column(self, which: int, traced: bool = False) -> list[float]:
+        return [v for v, t in zip(self.columns[which], self.columns[TRACED]) if t == traced]
+
+    def per_request(self, which: int, traced: bool) -> list[list[float]]:
+        """Seconds of each request position, over the rounds."""
+        n = self.per_round
+        out = [[] for _ in range(n)]
+        for i, (v, t) in enumerate(zip(self.columns[which], self.columns[TRACED])):
+            if t == traced:
+                out[i % n].append(v)
+        return out
+
+    def round_seconds(self, which: int) -> list[float]:
+        n, values = self.per_round, self.columns[which]
+        return [sum(values[i:i + n]) for i in range(0, len(values), n)]
+
+
+WALL, CPU, SCALED, TRACED = 0, 1, 2, 3
 
 
 # ── workloads ──────────────────────────────────────────────────────────────
-#
-# Each workload makes its inputs in __init__ (part of set-up), runs one
-# round of requests per ``round`` call and returns the request latencies,
-# and checks everything it saw in ``problems``, after the timed loop.
 
 
-class _TableSweeps:
-    """Sweeps over the exhaustive degrees, one ``table`` call per degree."""
+class Workload:
+    """Makes its inputs in __init__ (part of set-up).  ``round`` makes the
+    same requests, in the same order, every time, through the meter;
+    ``problems`` checks everything seen, after the timed loop."""
+
+    # the timing the bounded metrics use: CPU seconds at the reference
+    # speed, or, where the work is native big-integer arithmetic, which the
+    # host's contention slows much less, CPU seconds as measured
+    basis = SCALED
+
+    def prepare(self) -> None:
+        """Untimed work that must precede the timed loop but is not set-up."""
+
+    def labels(self) -> list[str] | None:
+        """A name for each request of a round, for the details file."""
+        return None
+
+
+class _TableSweeps(Workload):
+    """Sweeps over the exhaustive degrees, one ``table`` call per request."""
 
     label = ""
 
@@ -109,16 +202,9 @@ class _TableSweeps:
         self.workdir = workdir
         self.outputs: dict[str, set] = {d: set() for d in self.degrees}
         self.reference: dict[str, str | None] = {}
-        self.call_seconds: dict[str, list[float]] = {d: [] for d in self.degrees}
 
-    def sweep(self, jobs: int, cache_dir: str, timed: bool = True) -> dict[str, str | None]:
-        out = {}
-        for degree in self.degrees:
-            start = perf_counter()
-            out[degree] = self.client.call(workloads.table_argv(degree, jobs, cache_dir))
-            if timed:
-                self.call_seconds[degree].append(perf_counter() - start)
-        return out
+    def sweep(self, call, jobs: int, cache_dir: str) -> dict[str, str | None]:
+        return {d: call(workloads.table_argv(d, jobs, cache_dir)) for d in self.degrees}
 
     def _keep(self, out: dict[str, str | None]) -> None:
         for degree, text in out.items():
@@ -135,13 +221,11 @@ class _TableSweeps:
                 found += checks.check_same_bytes(f"{self.label} degree {degree}", seen[0], text)
         return found
 
+    def labels(self) -> list[str]:
+        return [f"table --degree {d}" for d in self.degrees]
+
     def profile(self) -> dict:
-        return {
-            "degrees": self.degrees,
-            "call_median_ms": {
-                d: statistics.median(v) * 1000 for d, v in self.call_seconds.items() if v
-            },
-        }
+        return {"degrees": self.degrees}
 
 
 class TablesExhaustive(_TableSweeps):
@@ -153,43 +237,35 @@ class TablesExhaustive(_TableSweeps):
 
     label = "cold sweeps at --jobs 1 and 2"
 
-    def _cold(self, jobs: int, tracer=None, timed: bool = True) -> float:
+    def _cold(self, call, jobs: int) -> dict[str, str | None]:
         cache_dir = tempfile.mkdtemp(prefix="cache-", dir=self.workdir)
         try:
-            seconds, out = _timed(tracer, self.sweep, jobs, cache_dir, timed)
+            return self.sweep(call, jobs, cache_dir)
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
-        if timed:
-            self._keep(out)
-        else:
-            self.reference = out
-        return seconds
 
-    def round(self, tracer=None) -> list[float]:
-        return [self._cold(1, tracer)]
+    def round(self, meter: Meter) -> None:
+        self._keep(self._cold(meter.call, 1))
 
     def problems(self) -> list[str]:
-        self._cold(2, timed=False)
+        self.reference = self._cold(self.client.call, 2)
         return super().problems()
 
 
 class TablesWarm(_TableSweeps):
-    """Sweep on a cache that one cold --jobs 1 sweep filled at set-up."""
+    """Sweep on a cache that one untimed cold --jobs 1 sweep filled."""
 
     label = "cold and warm sweeps"
 
-    def __init__(self, client, seed, workdir):
-        super().__init__(client, seed, workdir)
-        self.cache_dir = tempfile.mkdtemp(prefix="warm-", dir=workdir)
-        self.reference = self.sweep(1, self.cache_dir, timed=False)
+    def prepare(self) -> None:
+        self.cache_dir = tempfile.mkdtemp(prefix="warm-", dir=self.workdir)
+        self.reference = self.sweep(self.client.call, 1, self.cache_dir)
 
-    def round(self, tracer=None) -> list[float]:
-        seconds, out = _timed(tracer, self.sweep, 1, self.cache_dir)
-        self._keep(out)
-        return [seconds]
+    def round(self, meter: Meter) -> None:
+        self._keep(self.sweep(meter.call, 1, self.cache_dir))
 
 
-class H1Queries:
+class H1Queries(Workload):
     """One pass over the seeded stream of query pairs per round."""
 
     def __init__(self, client, seed, workdir):
@@ -200,18 +276,12 @@ class H1Queries:
         self.outputs: dict[tuple[int, int], set] = {}
         self.oracle_checked = 0
 
-    def _query(self, query) -> str | None:
-        return self.client.call(query.argv())
-
-    def round(self, tracer=None) -> list[float]:
-        latencies = []
+    def round(self, meter: Meter) -> None:
         for i, pair in enumerate(self.pairs):
             for member, query in enumerate(pair):
-                seconds, text = _timed(tracer, self._query, query)
-                latencies.append(seconds)
+                text = meter.call(query.argv())
                 if text is not None:
                     self.outputs.setdefault((i, member), set()).add(text)
-        return latencies
 
     def problems(self) -> list[str]:
         from logk3.zcohomology import cocycle_oracle_h1
@@ -258,25 +328,21 @@ class H1Queries:
         }
 
 
-class BoundEval:
-    """One pass over the seeded call list per round."""
+class BoundEval(Workload):
+    """One pass over the seeded call list per round, one call per request."""
+
+    basis = CPU
 
     def __init__(self, client, seed, workdir):
         self.client = client
         self.calls = workloads.bound_calls(seed)
         self.outputs: dict[tuple, set] = {call: set() for call in self.calls}
-        self.call_seconds: dict[tuple, list[float]] = {call: [] for call in self.calls}
 
-    def _pass(self) -> None:
+    def round(self, meter: Meter) -> None:
         for call in self.calls:
-            start = perf_counter()
-            text = self.client.call(workloads.bound_argv(*call))
-            self.call_seconds[call].append(perf_counter() - start)
+            text = meter.call(workloads.bound_argv(*call))
             if text is not None:
                 self.outputs[call].add(text)
-
-    def round(self, tracer=None) -> list[float]:
-        return [_timed(tracer, self._pass)[0]]
 
     def problems(self) -> list[str]:
         found = []
@@ -286,14 +352,11 @@ class BoundEval:
                 found += checks.check_bound_output(m, cap, text, residues)
         return found
 
+    def labels(self) -> list[str]:
+        return [" ".join(workloads.bound_argv(*c)) for c in self.calls]
+
     def profile(self) -> dict:
-        return {
-            "calls": [" ".join(workloads.bound_argv(*c)) for c in self.calls],
-            "call_median_ms": {
-                " ".join(workloads.bound_argv(*c)): statistics.median(v) * 1000
-                for c, v in self.call_seconds.items() if v
-            },
-        }
+        return {"calls": self.labels()}
 
 
 WORKLOADS = {
@@ -307,18 +370,14 @@ WORKLOADS = {
 # ── measurement ────────────────────────────────────────────────────────────
 
 
-def run_rounds(workload, seconds: float, tracer=None) -> list[list[float]]:
-    """Request latencies of each round, for whole rounds until ``seconds`` pass."""
-    rounds = []
+def run_rounds(workload, meter: Meter, seconds: float) -> None:
+    """Whole rounds until ``seconds`` of wall time and two rounds have passed."""
     start = perf_counter()
     while True:
-        rounds.append(workload.round(tracer))
-        if perf_counter() - start >= seconds:
-            return rounds
-
-
-def _flat(rounds: list[list[float]]) -> list[float]:
-    return [seconds for latencies in rounds for seconds in latencies]
+        meter.new_round()
+        workload.round(meter)
+        if meter.rounds >= 2 and perf_counter() - start >= seconds:
+            return
 
 
 def latency_summary(latencies: list[float]) -> dict:
@@ -330,16 +389,46 @@ def latency_summary(latencies: list[float]) -> dict:
     return out
 
 
-def end_to_end(rounds: list[list[float]], setup_s: float) -> dict:
-    # every round makes the same requests; the median round resists the
-    # host's slow spells better than the mean over all requests would
-    round_seconds = statistics.median(sum(latencies) for latencies in rounds)
+def _round_rate(meter: Meter, which: int) -> float:
+    """Requests per round over the median round's seconds."""
+    return meter.per_round / statistics.median(meter.round_seconds(which))
+
+
+def end_to_end(meter: Meter, basis: int, setup_s: float) -> dict:
     return {
         "setup_s": (setup_s, "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
-        "p50_ms": (statistics.median(_flat(rounds)) * 1000, "ms"),
-        "throughput_per_s": (len(rounds[0]) / round_seconds, "1/s"),
+        "p50_ms": (statistics.median(meter.column(basis)) * 1000, "ms"),
+        "throughput_per_s": (_round_rate(meter, basis), "1/s"),
     }
+
+
+def timing_details(meter: Meter, labels) -> dict:
+    """Scaled, CPU and wall summaries for the details file."""
+    columns = {"scaled": SCALED, "cpu": CPU, "wall": WALL}
+    out = {"rounds": meter.rounds}
+    for name, which in columns.items():
+        out[name] = dict(latency_summary(meter.column(which)),
+                         rate_per_s=_round_rate(meter, which))
+    out["cpu_over_wall"] = sum(meter.column(CPU)) / sum(meter.column(WALL))
+    # the reference chunk time over the chunk time seen around each request
+    speeds = meter.speed.speeds
+    out["speed"] = {
+        "median": statistics.median(speeds),
+        "quartiles": statistics.quantiles(speeds, n=4),
+        "min": min(speeds),
+        "max": max(speeds),
+    }
+    if labels:
+        medians = {
+            name: [statistics.median(v) * 1000 for v in meter.per_request(which, False)]
+            for name, which in columns.items()
+        }
+        out["per_request_median_ms"] = {
+            label: {name: medians[name][k] for name in columns}
+            for k, label in enumerate(labels)
+        }
+    return out
 
 
 def _unit(name: str) -> str:
@@ -352,27 +441,43 @@ def _unit(name: str) -> str:
     return "count"
 
 
-def traced(workload, seconds: float, trace_path: Path) -> dict:
-    """Untraced rounds, then traced rounds, for half the time each."""
-    plain = _flat(run_rounds(workload, seconds / 2))
-    tracer = Tracer()
-    tracer.install()
-    try:
-        traced_rounds = run_rounds(workload, seconds / 2, tracer)
-    finally:
-        tracer.uninstall()
-    spanned = _flat(traced_rounds)
-    rounds = len(traced_rounds)
-    layers = tracer.summary(rounds)
+def tracing_overhead(meter: Meter, basis: int) -> float:
+    """Seconds of a round traced over untraced, minus 1, in %.
+
+    Each side of a round is the sum over request positions of that
+    position's median, so both sides cover the same requests however many
+    rounds ran.
+    """
+    plain = meter.per_request(basis, False)
+    spanned = meter.per_request(basis, True)
+    both = [(p, s) for p, s in zip(plain, spanned) if p and s]
+    base = sum(statistics.median(p) for p, _ in both)
+    return (sum(statistics.median(s) for _, s in both) / base - 1) * 100
+
+
+def traced(workload, meter: Meter, seconds: float, trace_path: Path) -> dict:
+    """Rounds in which every other request is traced.
+
+    The number of rounds is made even, so every request is traced equally
+    often and the counts per round come out whole.
+    """
+    tracer = meter.tracer
+    run_rounds(workload, meter, seconds)
+    if meter.rounds % 2:
+        meter.new_round()
+        workload.round(meter)
+    traced_rounds = meter.rounds / 2
+    layers = tracer.summary(traced_rounds)
     metrics = {name: (value, _unit(name)) for name, value in layers.items()}
-    overhead = (statistics.median(spanned) / statistics.median(plain) - 1) * 100
+    overhead = tracing_overhead(meter, workload.basis)
     metrics["trace.overhead_pct"] = (overhead, "%")
     tracer.dump(trace_path, {
-        "rounds": rounds,
+        "rounds": meter.rounds,
+        "traced_round_equivalents": traced_rounds,
         "per_round": layers,
         "overhead_pct": overhead,
-        "untraced_p50_ms": statistics.median(plain) * 1000,
-        "traced_p50_ms": statistics.median(spanned) * 1000,
+        "untraced_p50_ms": statistics.median(meter.column(workload.basis)) * 1000,
+        "traced_p50_ms": statistics.median(meter.column(workload.basis, traced=True)) * 1000,
     })
     return metrics
 
@@ -385,6 +490,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
+    speed = SPEED
     try:
         cli_main = load_program()
     except ProgramMissing as err:
@@ -395,15 +501,24 @@ def main(argv=None) -> int:
     client = Client(cli_main)
     try:
         workload = WORKLOADS[args.workload](client, args.seed, workdir)
-        setup_s = perf_counter() - _START
+        # one cold set-up: the main thread's CPU seconds from the process's
+        # start, so the interpreter's start-up, the imports and the inputs
+        setup_cpu_s, setup_s = speed.measure(0.0, thread_time())
+        setup_wall_s = perf_counter() - _START
+        setup_samples = len(speed.samples)
+        setup_speed = speed.speeds[0]
+        speed.start()
+        workload.prepare()
         stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
+        meter = Meter(client, speed, Tracer() if args.trace else None)
         if args.trace:
-            metrics = traced(workload, args.seconds, OUT_DIR / f"trace-{stem}.jsonl")
-            latency = None
+            metrics = traced(workload, meter, args.seconds, OUT_DIR / f"trace-{stem}.jsonl")
+            timing = None
         else:
-            rounds = run_rounds(workload, args.seconds)
-            metrics = end_to_end(rounds, setup_s)
-            latency = latency_summary(_flat(rounds))
+            run_rounds(workload, meter, args.seconds)
+            metrics = end_to_end(meter, workload.basis, setup_s)
+            timing = timing_details(meter, workload.labels())
+        speed.stop()
         problems = workload.problems()
         profile = workload.profile()
     finally:
@@ -415,7 +530,9 @@ def main(argv=None) -> int:
         "failed": client.failed,
         "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
     }
-    details = dict(result, workload=args.workload, seed=args.seed, latency=latency,
+    details = dict(result, workload=args.workload, seed=args.seed,
+                   setup_cpu_s=setup_cpu_s, setup_wall_s=setup_wall_s,
+                   setup_samples=setup_samples, setup_speed=setup_speed, timing=timing,
                    profile=profile, problems=problems[:50], errors=client.errors)
     (OUT_DIR / f"result-{stem}.json").write_text(json.dumps(details, indent=1) + "\n")
     for line in problems[:10] + client.errors[:5]:
@@ -425,4 +542,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    finally:
+        SPEED.stop()  # a SIGPROF after the handler is gone would kill the process
+    sys.exit(code)

@@ -21,9 +21,9 @@ H1_DEGREES = (1, 2, 3, 4, 5, 6, 7)
 # six roots span a root subsystem of rank <= 6, so the generated reflection
 # group has order <= 51840 (that of E6), under the command's default cap
 H1_MAX_ROOTS = 6
-# 12 blocks of 42 query pairs give 1008 queries per pass, enough to leave
-# 10 samples above the 99th percentile
-H1_BLOCKS = 12
+# 6 blocks of 42 query pairs give 504 queries per pass; a run makes at
+# least two passes, which leave 10 samples above the 99th percentile
+H1_BLOCKS = 6
 
 # (m, evaluate cap or None); 8320 is the m = 1 prime cap the README uses
 BOUND_CALLS = (
