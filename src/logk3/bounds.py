@@ -22,6 +22,11 @@ from dataclasses import dataclass, field
 # the product comfortably in memory while covering m = 1 and m = 2
 FEASIBLE_PRIME_CAP = 4_000_000
 
+# evaluations whose value could pass this many decimal digits are refused
+# before any product is formed; the largest routine one (m = 1 over the
+# primes up to 8320) has about 275k digits
+MAX_VALUE_DIGITS = 1_000_000
+
 
 class FeasibilityError(RuntimeError):
     """Evaluating the requested bound would not fit in memory or time."""
@@ -62,6 +67,16 @@ def _sieve(cap: int) -> list[int]:
             marks[p * p :: p] = bytearray((cap - p * p) // p + 1)
         p += 1
     return [i for i in range(cap + 1) if marks[i]]
+
+
+def _check_size(bits: int) -> None:
+    """Refuse a value of at most ``bits`` bits if it could pass the limit."""
+    digits = bits * 30103 // 100000 + 1
+    if digits > MAX_VALUE_DIGITS:
+        raise FeasibilityError(
+            f"the value could have {digits} digits, over the "
+            f"{MAX_VALUE_DIGITS}-digit limit - narrow the prime window"
+        )
 
 
 def _product(values: list[int]) -> int:
@@ -188,6 +203,14 @@ class TorsionBound:
                     "evaluate with restrict_cap or restrict_primes"
                 )
             primes = _sieve(cap)
+        # each factor is at most its prime's cap, the p > 3 formula for every
+        # prime but 2 and 3, whose constants may be overridden
+        general = _parent_formula(self.m).bit_length()
+        small = {
+            p: parent_prime_power_bound(self.m, p, self.config).value.bit_length()
+            for p in (2, 3)
+        }
+        _check_size(sum(small.get(p, general) for p in primes))
         return _product([self.max_power(p) for p in primes])
 
     @property
@@ -243,6 +266,7 @@ class UniformBound:
         restrict_primes=None,
     ) -> int:
         t = self.torsion.evaluate(restrict_cap, restrict_primes)
+        _check_size(self.constant.bit_length() + self.exponent * t.bit_length())
         return self.constant * t**self.exponent
 
     def as_json_dict(self) -> dict:

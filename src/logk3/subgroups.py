@@ -31,9 +31,9 @@ from hashlib import blake2b
 from .lattice import build_picard_lattice
 from .weyl import (
     Matrix,
-    invert_perm,
+    closure_of_perms,
+    line_permutations,
     mult_perm,
-    pad_table,
     perm_order,
     reflection,
 )
@@ -81,8 +81,14 @@ class SubgroupClass:
     orbit_size: int
 
 
-def closure_indices(group, generator_indices) -> tuple[int, ...]:
-    """Smallest subgroup containing the given elements, as sorted indices."""
+def closure_indices(
+    group, generator_indices, abort_above: int | None = None
+) -> tuple[int, ...] | None:
+    """Smallest subgroup containing the given elements, as sorted indices.
+
+    Returns None as soon as the closure would grow past ``abort_above``
+    elements.
+    """
     elements, tables, index = group.elements, group.tables, group.index
     seen = {0}
     queue = [0]
@@ -97,55 +103,12 @@ def closure_indices(group, generator_indices) -> tuple[int, ...]:
         for g in generator_indices:
             y = index[elements[g].translate(table)]
             if y not in seen:
+                if abort_above is not None and len(seen) >= abort_above:
+                    return None
                 seen.add(y)
                 queue.append(y)
     assert group.order % len(seen) == 0, "closure violates Lagrange"
     return tuple(sorted(seen))
-
-
-class PermGroupTable:
-    """Minimal enumerated permutation group for feeding the enumerator.
-
-    Detached from any lattice; used by tests and by sampling.  Satisfies the
-    same duck interface as MatrixGroup (elements, tables, index,
-    generator_indices, mult, inverse, order, order_of).
-    """
-
-    def __init__(self, generator_perms: list[bytes]):
-        if not generator_perms:
-            raise ValueError("need at least one permutation (use the identity)")
-        npts = len(generator_perms[0])
-        identity = bytes(range(npts))
-        self.elements: list[bytes] = [identity]
-        self.tables: list[bytes] = [pad_table(identity)]
-        self.index: dict[bytes, int] = {identity: 0}
-        head = 0
-        while head < len(self.elements):
-            table = self.tables[head]
-            for gp in generator_perms:
-                product = gp.translate(table)
-                if product not in self.index:
-                    self.index[product] = len(self.elements)
-                    self.elements.append(product)
-                    self.tables.append(pad_table(product))
-            head += 1
-        self.generator_indices = tuple(self.index[p] for p in generator_perms)
-        self._inverse: list[int] | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def mult(self, i: int, j: int) -> int:
-        return self.index[self.elements[j].translate(self.tables[i])]
-
-    def inverse(self, i: int) -> int:
-        if self._inverse is None:
-            self._inverse = [self.index[invert_perm(p)] for p in self.elements]
-        return self._inverse[i]
-
-    def order_of(self, i: int) -> int:
-        return perm_order(self.elements[i])
 
 
 def _is_prime_power(n: int) -> bool:
@@ -231,47 +194,31 @@ class _Enumerator:
         self.records.append((best, len(els), len(queue)))
         return cid, True
 
-    def closure(
-        self, gen_idxs: tuple[int, ...], abort_above: int | None = None
-    ) -> tuple[int, ...] | None:
-        elements, tables, index = self.elements, self.tables, self.index
-        seen = {0}
-        queue = [0]
-        for g in gen_idxs:
-            if g not in seen:
-                seen.add(g)
-                queue.append(g)
-        head = 0
-        while head < len(queue):
-            table = tables[queue[head]]
-            head += 1
-            for g in gen_idxs:
-                y = index[elements[g].translate(table)]
-                if y not in seen:
-                    if abort_above is not None and len(seen) >= abort_above:
-                        return None
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
-
-    def cyclic_seeds(self) -> list[tuple[int, ...]]:
-        """One generating element per conjugacy class of elements."""
+    def element_classes(self) -> list[int]:
+        """Conjugacy class id per element; ids follow the smallest member."""
         ids = [-1] * self.n
-        reps: list[int] = []
+        next_id = 0
         for start in range(self.n):
             if ids[start] >= 0:
                 continue
-            cid = len(reps)
-            reps.append(start)
-            ids[start] = cid
+            ids[start] = next_id
             frontier = [start]
             while frontier:
                 x = frontier.pop()
                 for arr in self.conj_arrays:
                     y = arr[x]
                     if ids[y] < 0:
-                        ids[y] = cid
+                        ids[y] = next_id
                         frontier.append(y)
+            next_id += 1
+        return ids
+
+    def cyclic_seeds(self) -> list[tuple[int, ...]]:
+        """The cyclic subgroup of one element per conjugacy class of elements."""
+        reps: list[int] = []
+        for x, cid in enumerate(self.element_classes()):
+            if cid == len(reps):
+                reps.append(x)
         out = []
         for rep in reps:
             powers = [0]
@@ -340,7 +287,7 @@ class _Enumerator:
             if r in covered:
                 continue
             ngens.append(r)
-            covered = set(self.closure(tuple(ngens)))
+            covered = set(closure_indices(self.group, tuple(ngens)))
             if len(covered) == n:
                 break
         conj_movers = [(elements[inverse(m)], tables[m]) for m in ngens]
@@ -382,7 +329,7 @@ class _Enumerator:
             if x in covered_set:
                 continue
             gens.append(x)
-            covered = self.closure(tuple(gens))
+            covered = closure_indices(self.group, tuple(gens))
             covered_set = set(covered)
             if len(covered) == len(els):
                 break
@@ -391,33 +338,40 @@ class _Enumerator:
         return tuple(gens)
 
 
+def _extend_batch(enum: _Enumerator, reps, deadline: float | None):
+    """Unregistered closures of each representative plus one candidate.
+
+    The one extension loop: called directly for serial layers and inside
+    forked workers for parallel ones.  Returns None once ``deadline``
+    passes, checked before every representative; a worker cannot send
+    DeadlineExceeded itself, since that exception does not unpickle.
+    """
+    out: set[tuple[int, ...]] = set()
+    half = enum.n // 2
+    whole = tuple(range(enum.n))
+    for els, gens in reps:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        for g in enum.extension_candidates(els, gens):
+            key = tuple(sorted((*gens, g)))
+            if key in enum.closure_seen:
+                continue
+            enum.closure_seen.add(key)
+            closed = closure_indices(enum.group, gens + (g,), abort_above=half)
+            if closed is None:
+                closed = whole
+            if enum.lookup(closed) is None:
+                out.add(closed)
+    return out
+
+
 # worker state for the fork-based parallel path
 _WORKER: dict = {}
 
 
-def _extend_batch(args):
-    reps, snapshot_digests = args
-    enum: _Enumerator = _WORKER["enum"]
-    out: list[tuple[int, ...]] = []
-    local: set[bytes] = set()
-    seen_keys: set[tuple[int, ...]] = set()
-    half = enum.n // 2
-    whole = tuple(range(enum.n))
-    for els, gens in reps:
-        for g in enum.extension_candidates(els, gens):
-            key = tuple(sorted((*gens, g)))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            closed = enum.closure(gens + (g,), abort_above=half)
-            if closed is None:
-                closed = whole
-            dg = _set_digest(closed)
-            if dg in snapshot_digests or dg in local:
-                continue
-            local.add(dg)
-            out.append(closed)
-    return out
+def _extend_forked(reps):
+    # the fork carries the enumerator with every class registered so far
+    return _extend_batch(_WORKER["enum"], reps, _WORKER["deadline"])
 
 
 def enumerate_subgroup_classes(
@@ -427,7 +381,6 @@ def enumerate_subgroup_classes(
     budget_seconds: float | None = None,
     checkpoint=None,
     double_coset_threshold: int = DOUBLE_COSET_THRESHOLD,
-    progress=None,
 ) -> list[SubgroupClass]:
     """All subgroups of ``group`` up to conjugacy, sorted deterministically.
 
@@ -436,8 +389,8 @@ def enumerate_subgroup_classes(
     6e4, stretch 3e6.  ``jobs`` > 1 distributes extension work over forked
     workers; the result does not depend on it.  ``checkpoint`` may provide
     ``load()`` and ``save(state)`` for resumable layer snapshots.
-    ``progress``, when given, is called with (layer, classes, frontier)
-    after every layer.
+    ``budget_seconds`` is checked before every layer and before every
+    representative, in forked workers too; expiry raises DeadlineExceeded.
     """
     if tier not in TIER_LIMITS:
         raise ValueError(f"unknown tier {tier!r}")
@@ -470,61 +423,41 @@ def enumerate_subgroup_classes(
                 fresh.append(enum.records[cid][0])
         frontier_sets = sorted(fresh, key=lambda s: (len(s), s))
 
-    def check_deadline(layers_done: int) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded(
-                "subgroup enumeration ran out of time",
-                len(enum.records),
-                layers_done,
-            )
+    def out_of_time() -> DeadlineExceeded:
+        return DeadlineExceeded(
+            "subgroup enumeration ran out of time", len(enum.records), layer
+        )
 
     parallel = jobs > 1 and n > double_coset_threshold
     ctx = multiprocessing.get_context("fork") if parallel else None
     try:
         while frontier_sets:
-            check_deadline(layer)
+            if deadline is not None and time.monotonic() > deadline:
+                raise out_of_time()
             reps = [
                 (els, enum.small_generating_set(els))
                 for els in frontier_sets
                 if len(els) < n
             ]
-            candidates: list[tuple[int, ...]] = []
             if parallel and len(reps) > 1:
-                snapshot = frozenset(enum.digests)
-                chunks = [
-                    (reps[i::jobs], snapshot) for i in range(jobs) if reps[i::jobs]
-                ]
-                # a fresh pool per layer forks the current enum state; the
-                # digest snapshot still travels explicitly so workers can skip
-                # classes registered while their fork was being set up
+                chunks = [reps[i::jobs] for i in range(jobs) if reps[i::jobs]]
+                # a fresh pool per layer forks the current enumerator state
                 _WORKER["enum"] = enum
-                with ctx.Pool(min(jobs, len(chunks))) as pool:
-                    for part in pool.map(_extend_batch, chunks):
-                        candidates.extend(part)
+                _WORKER["deadline"] = deadline
+                with ctx.Pool(len(chunks)) as pool:
+                    parts = pool.map(_extend_forked, chunks)
             else:
-                half = n // 2
-                whole = tuple(range(n))
-                for els, gens in reps:
-                    check_deadline(layer)
-                    for g in enum.extension_candidates(els, gens):
-                        key = tuple(sorted((*gens, g)))
-                        if key in enum.closure_seen:
-                            continue
-                        enum.closure_seen.add(key)
-                        closed = enum.closure(gens + (g,), abort_above=half)
-                        if closed is None:
-                            closed = whole
-                        if enum.lookup(closed) is None:
-                            candidates.append(closed)
+                parts = [_extend_batch(enum, reps, deadline)]
+            if any(part is None for part in parts):
+                raise out_of_time()
+            candidates = set().union(*parts)
             fresh = []
-            for els in sorted(set(candidates), key=lambda s: (len(s), s)):
+            for els in sorted(candidates, key=lambda s: (len(s), s)):
                 cid, new = enum.register(els)
                 if new:
                     fresh.append(enum.records[cid][0])
             frontier_sets = sorted(fresh, key=lambda s: (len(s), s))
             layer += 1
-            if progress is not None:
-                progress(layer, len(enum.records), len(frontier_sets))
             if checkpoint is not None:
                 checkpoint.save(
                     {
@@ -535,7 +468,7 @@ def enumerate_subgroup_classes(
                     }
                 )
     finally:
-        _WORKER.pop("enum", None)
+        _WORKER.clear()
 
     out = []
     for fingerprint, order, orbit_size in enum.records:
@@ -590,28 +523,6 @@ class SampledSubgroup:
     ident: str
 
 
-def closure_of_perms(
-    generator_perms: list[bytes], cap: int | None = None
-) -> list[bytes] | None:
-    """BFS closure of raw permutations; None when past ``cap`` elements."""
-    npts = len(generator_perms[0]) if generator_perms else 0
-    identity = bytes(range(npts))
-    seen = {identity}
-    queue = [identity]
-    head = 0
-    while head < len(queue):
-        table = pad_table(queue[head])
-        head += 1
-        for gp in generator_perms:
-            product = gp.translate(table)
-            if product not in seen:
-                if cap is not None and len(seen) >= cap:
-                    return None
-                seen.add(product)
-                queue.append(product)
-    return queue
-
-
 def sample_subgroups(
     degree_spec: int | str,
     count: int,
@@ -630,20 +541,9 @@ def sample_subgroups(
     lattice = build_picard_lattice(degree_spec)
     if lattice.degree_label not in ("1", "2"):
         raise ValueError("sampling is intended for degrees 1 and 2")
-    lines = lattice.lines()
-    line_index = {line: k for k, line in enumerate(lines)}
     roots = lattice.roots()
     mats = [reflection(lattice, r) for r in roots]
-    perms = []
-    for m in mats:
-        out = bytearray(len(lines))
-        for k, line in enumerate(lines):
-            img = tuple(
-                sum(m[i][j] * line[j] for j in range(lattice.rank))
-                for i in range(lattice.rank)
-            )
-            out[k] = line_index[img]
-        perms.append(bytes(out))
+    perms = line_permutations(lattice.lines(), mats)
 
     rng = random.Random(seed)
     lo, hi = generator_count_range

@@ -1,34 +1,32 @@
-"""Weyl groups of del Pezzo Picard lattices as explicit matrix groups.
+"""Weyl groups of del Pezzo Picard lattices as explicit permutation groups.
 
 Group elements act on the lattice by unimodular matrices that preserve the
 pairing and fix the canonical class.  Since the lines span the lattice
 rationally and every isometry permutes them, the action on the sorted line
 list is faithful; elements are therefore stored as permutations packed into
 ``bytes`` (at most 240 lines, so one byte per image), which makes products
-a single ``bytes.translate`` call.  Matrices are kept alongside when the
-group is small enough and reconstructed from the line permutation on
-demand otherwise.
+a single ``bytes.translate`` call.  Matrices are rebuilt from the line
+permutation on demand, through the inverse of one spanning set of classes
+computed once per group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
+from typing import Iterable
 
 from .lattice import PicardLattice
 from .zcohomology import (
     Matrix,
     Vector,
     from_columns,
-    identity_matrix,
     mat_mul,
     mat_vec,
-    solve_exact,
+    smith_normal_form,
     transpose,
 )
 
 GROUP_BUDGET = 10**7
-MATRIX_STORE_LIMIT = 200_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -69,27 +67,6 @@ def is_isometry(lattice: PicardLattice, matrix: Matrix) -> bool:
     return True
 
 
-def orbit(
-    lattice: PicardLattice,
-    generators: tuple[Matrix, ...],
-    seed: Vector,
-    cap: int = 10**6,
-) -> tuple[Vector, ...]:
-    """Orbit of a class under the group generated by ``generators``."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = mat_vec(g, x)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise BudgetExceeded("orbit exceeded cap", len(seen))
-                seen.add(y)
-                frontier.append(y)
-    return tuple(sorted(seen))
-
-
 _PAD = bytes(range(256))
 
 
@@ -127,28 +104,70 @@ def perm_order(p: bytes) -> int:
     return order
 
 
-@dataclass
-class MatrixGroup:
-    """Fully enumerated matrix group with its faithful line permutation action.
+def line_permutations(
+    lines: tuple[Vector, ...], matrices: Iterable[Matrix]
+) -> list[bytes]:
+    """The permutation each matrix induces on ``lines``, one byte per image."""
+    line_index = {line: k for k, line in enumerate(lines)}
+    perms = []
+    for m in matrices:
+        out = bytearray(len(lines))
+        for k, line in enumerate(lines):
+            image = line_index.get(mat_vec(m, line))
+            if image is None:
+                raise ValueError("matrix does not permute the lines")
+            out[k] = image
+        perms.append(bytes(out))
+    return perms
 
-    ``elements[0]`` is always the identity, discovery order is the
-    deterministic breadth-first order, and ``index`` inverts the listing.
+
+def closure_of_perms(
+    generator_perms: list[bytes], cap: int | None = None
+) -> list[bytes] | None:
+    """Breadth-first closure of permutations; None when past ``cap`` elements.
+
+    The identity comes first and the rest follow in discovery order, with
+    the generators applied in the given order, so the listing is
+    reproducible.
+    """
+    npts = len(generator_perms[0]) if generator_perms else 0
+    identity = bytes(range(npts))
+    seen = {identity}
+    queue = [identity]
+    head = 0
+    while head < len(queue):
+        table = pad_table(queue[head])
+        head += 1
+        for gp in generator_perms:
+            product = gp.translate(table)
+            if product not in seen:
+                if cap is not None and len(seen) >= cap:
+                    return None
+                seen.add(product)
+                queue.append(product)
+    return queue
+
+
+class PermGroupTable:
+    """Fully enumerated permutation group, as the subgroup enumerator reads it.
+
+    ``elements`` is the closure of the generators in discovery order, so
+    ``elements[0]`` is the identity; ``index`` inverts the listing and
+    ``tables[i]`` is element i padded for ``bytes.translate``.  Past
+    ``budget`` elements the closure stops with BudgetExceeded.
     """
 
-    lattice: PicardLattice
-    generator_matrices: tuple[Matrix, ...]
-    lines: tuple[Vector, ...]
-    elements: list[bytes]
-    tables: list[bytes]
-    index: dict[bytes, int]
-    matrices: list[Matrix] | None
-    generator_indices: tuple[int, ...]
-    _inverse: list[int] | None = field(default=None, repr=False)
-    _orders: list[int] | None = field(default=None, repr=False)
-    _class_ids: list[int] | None = field(default=None, repr=False)
-    _line_solver: tuple[tuple[int, ...], Matrix] | None = field(
-        default=None, repr=False
-    )
+    def __init__(self, generator_perms: list[bytes], budget: int | None = None):
+        if not generator_perms:
+            raise ValueError("need at least one permutation (use the identity)")
+        elements = closure_of_perms(generator_perms, cap=budget)
+        if elements is None:
+            raise BudgetExceeded(f"group closure exceeded budget {budget}", budget)
+        self.elements: list[bytes] = elements
+        self.tables: list[bytes] = [pad_table(p) for p in elements]
+        self.index: dict[bytes, int] = {p: k for k, p in enumerate(elements)}
+        self.generator_indices = tuple(self.index[p] for p in generator_perms)
+        self._inverse: list[int] | None = None
 
     @property
     def order(self) -> int:
@@ -159,109 +178,82 @@ class MatrixGroup:
 
     def inverse(self, i: int) -> int:
         if self._inverse is None:
-            self._inverse = [0] * self.order
-            for k, p in enumerate(self.elements):
-                self._inverse[k] = self.index[invert_perm(p)]
+            self._inverse = [self.index[invert_perm(p)] for p in self.elements]
         return self._inverse[i]
 
-    def conjugate(self, i: int, by: int) -> int:
-        # g x g^{-1}: apply the inverse first, then x, then g
-        step = self.elements[self.inverse(by)].translate(self.tables[i])
-        return self.index[step.translate(self.tables[by])]
-
     def order_of(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [perm_order(p) for p in self.elements]
-        return self._orders[i]
+        return perm_order(self.elements[i])
 
-    def conjugacy_class_ids(self) -> list[int]:
-        """Class id per element; ids follow the smallest member's index."""
-        if self._class_ids is None:
-            ids = [-1] * self.order
-            next_id = 0
-            for start in range(self.order):
-                if ids[start] >= 0:
-                    continue
-                ids[start] = next_id
-                frontier = [start]
-                while frontier:
-                    x = frontier.pop()
-                    for gi in self.generator_indices:
-                        y = self.conjugate(x, gi)
-                        if ids[y] < 0:
-                            ids[y] = next_id
-                            frontier.append(y)
-                next_id += 1
-            self._class_ids = ids
-        return self._class_ids
+
+class MatrixGroup(PermGroupTable):
+    """Matrix group of a Picard lattice, enumerated by its action on the lines.
+
+    ``matrix_of`` rebuilds an element's matrix as (images of the spanning
+    classes) times the inverse of their matrix.  The spanning classes are
+    the first lines, in sorted order, that are rationally independent; the
+    canonical class stands in where the lines do not span (degree 8b has a
+    single line), which is sound because every element fixes it.
+    """
+
+    def __init__(
+        self,
+        lattice: PicardLattice,
+        generator_matrices: tuple[Matrix, ...],
+        budget: int = GROUP_BUDGET,
+    ):
+        for g in generator_matrices:
+            if not is_isometry(lattice, g):
+                raise ValueError("generator is not an isometry fixing K")
+        self.lattice = lattice
+        self.generator_matrices = tuple(generator_matrices)
+        self.lines = lattice.lines()
+        perms = line_permutations(self.lines, generator_matrices)
+        # without generators the identity alone seeds the closure
+        super().__init__(perms or [bytes(range(len(self.lines)))], budget)
+        self.generator_indices = tuple(self.index[p] for p in perms)
+        # index len(lines) is K: every padded table fixes it, as every element does
+        self._classes = self.lines + (lattice.canonical,)
+        self._span, self._span_inverse, self._denominator = self._spanning_inverse()
+
+    def _spanning_inverse(self) -> tuple[tuple[int, ...], Matrix, int]:
+        """Spanning class indices S, and d with d·S⁻¹ integral."""
+        chosen: list[int] = []
+        for idx, v in enumerate(self._classes):
+            probe = [self._classes[c] for c in chosen] + [v]
+            if smith_normal_form(from_columns(probe)).rank == len(probe):
+                chosen.append(idx)
+                if len(chosen) == self.lattice.rank:
+                    break
+        else:
+            raise AssertionError("lines and K fail to span the lattice")
+        # left @ S @ right = diag(D), so d·S⁻¹ = right @ diag(d / D) @ left
+        form = smith_normal_form(from_columns([self._classes[c] for c in chosen]))
+        d = form.diagonal[-1]
+        scaled = tuple(
+            tuple(x * (d // form.diagonal[r]) for x in row)
+            for r, row in enumerate(form.left)
+        )
+        return tuple(chosen), mat_mul(form.right, scaled), d
 
     def matrix_of(self, i: int) -> Matrix:
-        if self.matrices is not None:
-            return self.matrices[i]
-        if self._line_solver is None:
-            # a spanning subset of lines pins every isometry down
-            rank = self.lattice.rank
-            chosen: list[int] = []
-            rows: list[Vector] = []
-            for idx, line in enumerate(self.lines):
-                probe = rows + [line]
-                if _rational_rank(probe) == len(probe):
-                    chosen.append(idx)
-                    rows.append(line)
-                if len(chosen) == rank:
-                    break
-            if len(chosen) != rank:
-                raise AssertionError("lines failed to span the lattice")
-            span = from_columns([self.lines[c] for c in chosen], rows=rank)
-            self._line_solver = (tuple(chosen), span)
-        chosen, span = self._line_solver
-        perm = self.elements[i]
-        images = from_columns(
-            [self.lines[perm[c]] for c in chosen], rows=self.lattice.rank
-        )
-        # M @ span == images with M integral
-        mt = solve_exact(transpose(span), transpose(images))
-        return transpose(mt)
+        table = self.tables[i]
+        images = from_columns([self._classes[table[c]] for c in self._span])
+        product = mat_mul(images, self._span_inverse)
+        d = self._denominator
+        if d == 1:
+            return product
+        if any(x % d for row in product for x in row):
+            raise AssertionError(f"element {i} does not act integrally")
+        return tuple(tuple(x // d for x in row) for row in product)
 
     def perm_of_matrix(self, matrix: Matrix) -> bytes:
-        line_index = {line: k for k, line in enumerate(self.lines)}
-        out = bytearray(len(self.lines))
-        for k, line in enumerate(self.lines):
-            image = mat_vec(matrix, line)
-            if image not in line_index:
-                raise ValueError("matrix does not permute the lines")
-            out[k] = line_index[image]
-        return bytes(out)
-
-
-def _rational_rank(vectors: list[Vector]) -> int:
-    from fractions import Fraction
-
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / rows[rank][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        return line_permutations(self.lines, (matrix,))[0]
 
 
 def generate_group(
     lattice: PicardLattice,
     generators: tuple[Matrix, ...],
     budget: int = GROUP_BUDGET,
-    store_matrices: bool | None = None,
 ) -> MatrixGroup:
     """Breadth-first closure of the generators inside the isometry group.
 
@@ -269,62 +261,7 @@ def generate_group(
     generator list applied in the given order, so indices are reproducible.
     Raises BudgetExceeded (carrying the count reached) past ``budget``.
     """
-    lines = lattice.lines()
-    if len(lines) > 255:
-        raise ValueError("line permutations no longer fit a byte")
-    line_index = {line: k for k, line in enumerate(lines)}
-    gen_perms: list[bytes] = []
-    for g in generators:
-        if not is_isometry(lattice, g):
-            raise ValueError("generator is not an isometry fixing K")
-        out = bytearray(len(lines))
-        for k, line in enumerate(lines):
-            out[k] = line_index[mat_vec(g, line)]
-        gen_perms.append(bytes(out))
-
-    identity = bytes(range(len(lines)))
-    elements: list[bytes] = [identity]
-    tables: list[bytes] = [pad_table(identity)]
-    index: dict[bytes, int] = {identity: 0}
-    keep_matrices = store_matrices if store_matrices is not None else True
-    matrices: list[Matrix] | None = (
-        [identity_matrix(lattice.rank)] if keep_matrices else None
-    )
-    head = 0
-    while head < len(elements):
-        table = tables[head]
-        for gi, gp in enumerate(gen_perms):
-            product = gp.translate(table)
-            if product not in index:
-                if len(elements) >= budget:
-                    raise BudgetExceeded(
-                        f"group closure exceeded budget {budget}", len(elements)
-                    )
-                index[product] = len(elements)
-                elements.append(product)
-                tables.append(pad_table(product))
-                if matrices is not None:
-                    matrices.append(mat_mul(matrices[head], generators[gi]))
-                    if (
-                        store_matrices is None
-                        and len(elements) > MATRIX_STORE_LIMIT
-                    ):
-                        matrices = None
-                        keep_matrices = False
-        head += 1
-    if not keep_matrices:
-        matrices = None
-    gen_indices = tuple(index[p] for p in gen_perms)
-    group = MatrixGroup(
-        lattice=lattice,
-        generator_matrices=tuple(generators),
-        lines=lines,
-        elements=elements,
-        tables=tables,
-        index=index,
-        matrices=matrices,
-        generator_indices=gen_indices,
-    )
+    group = MatrixGroup(lattice, generators, budget)
     # every element must be a K-fixing isometry: check all when small,
     # a deterministic sample when reconstruction would dominate runtime
     if group.order <= 10_000:
@@ -338,11 +275,7 @@ def generate_group(
     return group
 
 
-def weyl_group(
-    lattice: PicardLattice,
-    budget: int = GROUP_BUDGET,
-    store_matrices: bool | None = None,
-) -> MatrixGroup:
+def weyl_group(lattice: PicardLattice, budget: int = GROUP_BUDGET) -> MatrixGroup:
     """The full Weyl group, generated by reflections in the simple roots."""
     gens = tuple(reflection(lattice, r) for r in lattice.simple_roots())
-    return generate_group(lattice, gens, budget=budget, store_matrices=store_matrices)
+    return generate_group(lattice, gens, budget=budget)

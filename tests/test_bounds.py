@@ -4,6 +4,7 @@ import pytest
 
 from logk3.bounds import (
     FEASIBLE_PRIME_CAP,
+    MAX_VALUE_DIGITS,
     BoundConfig,
     FeasibilityError,
     _is_prime,
@@ -102,6 +103,23 @@ def test_torsion_bound_feasibility_refusal():
         nb.evaluate()
     # a restricted window still works
     assert nb.evaluate(restrict_primes=[101]) == 101 ** 3
+
+
+def test_value_size_refusal():
+    bound = brauer_uniform_bound(1)
+    # under the prime cap, but the product would have millions of digits
+    with pytest.raises(FeasibilityError):
+        bound.torsion.evaluate(restrict_cap=FEASIBLE_PRIME_CAP)
+    # the torsion value fits; its square with the constant does not
+    torsion = bound.torsion.evaluate(restrict_cap=60_000)
+    assert torsion.bit_length() * 30103 // 100000 < MAX_VALUE_DIGITS
+    with pytest.raises(FeasibilityError):
+        bound.evaluate(restrict_cap=60_000)
+    # a huge overridden constant counts against the limit too
+    heavy = torsion_bound(1, BoundConfig(parent_constant_p2=10**MAX_VALUE_DIGITS))
+    with pytest.raises(FeasibilityError):
+        heavy.evaluate(restrict_primes=[2])
+    assert heavy.evaluate(restrict_primes=[3, 5]) == 3**8 * 5**5
 
 
 def test_uniform_bound_identity():

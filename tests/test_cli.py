@@ -162,6 +162,18 @@ def test_bound_subcommand(tmp_path):
     assert json.loads(overridden.stdout)["flags"] == []
 
 
+def test_bound_value_size_refusal(tmp_path):
+    # the cap is far below the prime-cap guard, but the value would have
+    # millions of digits: refused (exit 3), not a usage error
+    proc = run_cli(
+        ["bound", "-m", "1", "--evaluate-cap", "100000", "--format", "json"],
+        tmp_path,
+        check=3,
+    )
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["exit_code"] == 3
+
+
 def test_cache_ls_and_clear(tmp_path):
     run_cli(["table", "--degree", "6"], tmp_path, check=0)
     listing = run_cli(["cache", "ls"], tmp_path, check=0)

@@ -8,16 +8,17 @@ holds for every group it is applied to here.
 """
 
 import random
+import time
 
 import pytest
 
 from logk3.lattice import build_picard_lattice
 from logk3.subgroups import (
     DeadlineExceeded,
-    PermGroupTable,
     SampleError,
     SubgroupClass,
     TierExceeded,
+    _Enumerator,
     class_of_subgroup,
     closure_indices,
     closure_of_perms,
@@ -25,7 +26,7 @@ from logk3.subgroups import (
     is_conjugate,
     sample_subgroups,
 )
-from logk3.weyl import weyl_group
+from logk3.weyl import PermGroupTable, weyl_group
 
 
 def perm_from_cycles(npts, *cycles):
@@ -177,6 +178,20 @@ def test_weyl_degree6_classes():
     assert orders == [1, 2, 2, 2, 3, 4, 6, 6, 6, 12]
 
 
+def test_element_classes():
+    group = weyl_group(build_picard_lattice(6))
+    enum = _Enumerator(group)
+    ids = enum.element_classes()
+    # class function: order is constant on classes
+    for x in range(group.order):
+        for y in range(group.order):
+            if ids[x] == ids[y]:
+                assert group.order_of(x) == group.order_of(y)
+    # W(A2xA1) = S3 x C2 has 6 conjugacy classes, one cyclic seed each
+    assert len(set(ids)) == 6
+    assert len(enum.cyclic_seeds()) == 6
+
+
 def test_weyl_degree5_matches_s5():
     group = weyl_group(build_picard_lattice(5))
     classes = enumerate_subgroup_classes(group)
@@ -221,6 +236,16 @@ def test_budget_refusal_reports_progress():
         enumerate_subgroup_classes(group, budget_seconds=0.0)
     assert info.value.classes_found > 0
     assert info.value.layers_completed == 0
+
+
+def test_budget_refusal_in_forked_workers():
+    group = weyl_group(build_picard_lattice(3))
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        enumerate_subgroup_classes(
+            group, tier="extended", jobs=2, budget_seconds=1
+        )
+    assert time.monotonic() - start < 20
 
 
 def test_tier_refusal():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from logk3.lattice import build_picard_lattice
+from logk3.subgroups import _Enumerator
 from logk3.weyl import (
     BudgetExceeded,
     generate_group,
@@ -66,11 +67,12 @@ def test_inverse_and_conjugate(groups):
     for i in range(g.order):
         assert g.mult(i, g.inverse(i)) == 0
         assert g.mult(g.inverse(i), i) == 0
-    rng = random.Random(6)
-    for _ in range(20):
-        x, by = rng.randrange(g.order), rng.randrange(g.order)
-        expect = g.mult(by, g.mult(x, g.inverse(by)))
-        assert g.conjugate(x, by) == expect
+    # the subgroup enumerator conjugates by one lookup array per generator
+    arrays = _Enumerator(g).conj_arrays
+    assert len(arrays) == len(g.generator_indices)
+    for by, arr in zip(g.generator_indices, arrays):
+        for x in range(g.order):
+            assert arr[x] == g.mult(by, g.mult(x, g.inverse(by)))
 
 
 def test_elements_are_isometries(groups):
@@ -81,6 +83,25 @@ def test_elements_are_isometries(groups):
         m = g.matrix_of(rng.randrange(g.order))
         assert is_isometry(lat, m)
         assert mat_vec(m, lat.canonical) == lat.canonical
+
+
+def test_matrix_of_identity_where_lines_do_not_span(groups):
+    g = groups["8b"]
+    # degree 8b has a single line, so K completes the spanning set
+    assert len(g.lines) == 1
+    assert g.matrix_of(0) == identity_matrix(g.lattice.rank)
+
+
+def test_matrix_of_matches_generator_products():
+    g = weyl_group(build_picard_lattice(3))
+    rng = random.Random(3)
+    gens = range(len(g.generator_indices))
+    for _ in range(25):
+        index, matrix = 0, identity_matrix(g.lattice.rank)
+        for w in rng.choices(gens, k=rng.randint(1, 15)):
+            index = g.mult(index, g.generator_indices[w])
+            matrix = mat_mul(matrix, g.generator_matrices[w])
+        assert g.matrix_of(index) == matrix
 
 
 def test_matrix_perm_round_trip(groups):
@@ -110,18 +131,6 @@ def test_order_of_matches_perm_order(groups):
         for _ in range(k):
             acc = g.mult(acc, i)
         assert acc == 0
-
-
-def test_conjugacy_class_ids(groups):
-    g = groups["6"]
-    ids = g.conjugacy_class_ids()
-    # class function: order is constant on classes
-    for x in range(g.order):
-        for y in range(g.order):
-            if ids[x] == ids[y]:
-                assert g.order_of(x) == g.order_of(y)
-    # W(A2xA1) = S3 x C2 has 6 conjugacy classes
-    assert len(set(ids)) == 6
 
 
 def test_budget_refusal():
