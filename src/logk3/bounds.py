@@ -265,7 +265,11 @@ class UniformBound:
         restrict_cap: int | None = None,
         restrict_primes=None,
     ) -> int:
-        t = self.torsion.evaluate(restrict_cap, restrict_primes)
+        return self.for_torsion(self.torsion.evaluate(restrict_cap, restrict_primes))
+
+    def for_torsion(self, t: int) -> int:
+        """The bound over a prime window whose torsion product ``t`` the
+        caller has already evaluated."""
         _check_size(self.constant.bit_length() + self.exponent * t.bit_length())
         return self.constant * t**self.exponent
 

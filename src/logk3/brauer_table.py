@@ -9,13 +9,17 @@ cohomology groups, and the bound checks on the resulting group orders.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from hashlib import blake2b
 
-from .lattice import PicardLattice, QuotientPresentation, build_picard_lattice
+from .lattice import (
+    PicardLattice,
+    QuotientPresentation,
+    build_picard_lattice,
+    normalize_degree,
+)
 from .subgroups import (
-    SampledSubgroup,
+    TIER_LIMITS,
     SubgroupClass,
     TierExceeded,
     enumerate_subgroup_classes,
@@ -32,7 +36,9 @@ from .zcohomology import (
     structure_sort_key,
 )
 
-TIER_RANK = {"exhaustive": 0, "extended": 1, "stretch": 2}
+# tiers from the cheapest up; a tier admits every degree of a cheaper one
+TIERS = tuple(TIER_LIMITS)
+# the tier each tabulated degree needs; degree 1 is sampled, never tabulated
 DEGREE_TIER = {
     "8b": "exhaustive",
     "7": "exhaustive",
@@ -53,12 +59,28 @@ class DegreeContext:
     group: MatrixGroup
 
 
-def degree_context(degree_spec) -> DegreeContext:
-    lattice = build_picard_lattice(degree_spec)
-    if lattice.degree_label == "1":
+def tier_admits(tier: str, degree_label: str) -> bool:
+    """Whether ``tier`` covers the enumeration of a tabulated degree."""
+    if tier not in TIER_LIMITS:
+        raise ValueError(f"unknown tier {tier!r}")
+    required = DEGREE_TIER.get(degree_label)
+    if required is None:
         raise ValueError(
-            "degree 1 admits no full Weyl enumeration; use sampling"
+            f"degree {degree_label} has no table: its Weyl group is never "
+            "enumerated; use sampling"
         )
+    return TIERS.index(tier) >= TIERS.index(required)
+
+
+def degree_context(degree_spec, tier: str = "exhaustive") -> DegreeContext:
+    """The degree's context, refused before anything is built when ``tier``
+    does not cover the degree."""
+    label = normalize_degree(degree_spec)
+    if not tier_admits(tier, label):
+        raise TierExceeded(
+            f"degree {label} needs the {DEGREE_TIER[label]} tier, got {tier}"
+        )
+    lattice = build_picard_lattice(label)
     return DegreeContext(
         lattice=lattice,
         quotient=lattice.quotient_mod_canonical(),
@@ -129,7 +151,7 @@ def analyze_subgroup(
     hu = h1(modu, order)
     induced = h1_induced_map(hx, hu, quotient.projection)
     coker = induced.cokernel()
-    injective = induced.is_injective()
+    injective = induced.is_injective(coker)
     delta = lattice.delta_invariant(hx.fixed_basis)
 
     pairings = [lattice.intersect(b, lattice.canonical) for b in hx.fixed_basis]
@@ -166,11 +188,15 @@ def row_for_subgroup(
 ) -> tuple[AbelianGroupStructure, AbelianGroupStructure]:
     """The pair (H¹ on the full lattice, H¹ on the quotient) for one class."""
     ctx = context if context is not None else degree_context(degree_spec)
-    mats = tuple(ctx.group.matrix_of(i) for i in subgroup.generators)
-    analysis = analyze_subgroup(
-        ctx.lattice, ctx.quotient, mats, subgroup.order, class_ident(subgroup)
-    )
+    analysis = _analyze_class(ctx, subgroup)
     return analysis.brx, analysis.bru
+
+
+def _analyze_class(ctx: DegreeContext, cls: SubgroupClass) -> SubgroupAnalysis:
+    mats = tuple(ctx.group.matrix_of(i) for i in cls.generators)
+    return analyze_subgroup(
+        ctx.lattice, ctx.quotient, mats, cls.order, class_ident(cls)
+    )
 
 
 # ── aggregation ─────────────────────────────────────────────────────────────
@@ -295,56 +321,6 @@ def _aggregate(
     )
 
 
-# one-shot globals for forked row workers
-_ROW_CTX: dict = {}
-
-
-def _analyze_packed(item):
-    mats, order, ident = item
-    return analyze_subgroup(
-        _ROW_CTX["lattice"], _ROW_CTX["quotient"], mats, order, ident
-    )
-
-
-def _analyses_for_classes(
-    ctx: DegreeContext,
-    classes: list[SubgroupClass],
-    jobs: int,
-) -> list[SubgroupAnalysis]:
-    items = [
-        (
-            tuple(ctx.group.matrix_of(i) for i in cls.generators),
-            cls.order,
-            class_ident(cls),
-        )
-        for cls in classes
-    ]
-    if jobs > 1 and len(items) > 2 * jobs:
-        _ROW_CTX["lattice"] = ctx.lattice
-        _ROW_CTX["quotient"] = ctx.quotient
-        try:
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                return pool.map(_analyze_packed, items, chunksize=8)
-        finally:
-            _ROW_CTX.clear()
-    return [
-        analyze_subgroup(ctx.lattice, ctx.quotient, mats, order, ident)
-        for mats, order, ident in items
-    ]
-
-
-def _require_tier(degree_label: str, tier: str) -> None:
-    if tier not in TIER_RANK:
-        raise ValueError(f"unknown tier {tier!r}")
-    required = DEGREE_TIER.get(degree_label)
-    if required is None:
-        raise ValueError(f"no exhaustive table at degree {degree_label}")
-    if TIER_RANK[tier] < TIER_RANK[required]:
-        raise TierExceeded(
-            f"degree {degree_label} needs the {required} tier, got {tier}"
-        )
-
-
 def analyze_degree(
     degree_spec,
     tier: str = "exhaustive",
@@ -354,11 +330,13 @@ def analyze_degree(
 ) -> "tuple[BrauerTable, LemmaReport]":
     """Enumerate one degree once, returning the table and the lemma report.
 
-    The enumeration dominates the cost, so callers needing both views
-    should take them from a single call.
+    The tier is checked before any lattice or group is built: a degree the
+    tier does not cover raises TierExceeded, an untabulated one (degree 1)
+    ValueError.  ``jobs`` parallelises the subgroup enumeration, which
+    dominates the cost; the classes are then analysed in this process.
+    Callers needing both views should take them from a single call.
     """
-    ctx = degree_context(degree_spec)
-    _require_tier(ctx.lattice.degree_label, tier)
+    ctx = degree_context(degree_spec, tier)
     classes = enumerate_subgroup_classes(
         ctx.group,
         tier=tier,
@@ -366,7 +344,7 @@ def analyze_degree(
         budget_seconds=budget_seconds,
         checkpoint=checkpoint,
     )
-    analyses = _analyses_for_classes(ctx, classes, jobs)
+    analyses = [_analyze_class(ctx, cls) for cls in classes]
     table = _aggregate(ctx.lattice.degree_label, tier, analyses)
     report = LemmaReport(ctx.lattice.degree_label, "enumerated", tuple(analyses))
     return table, report
@@ -437,7 +415,6 @@ def verify_lemma_properties(
     jobs: int = 1,
     samples: int | None = None,
     seed: int = 0,
-    order_cap: int = 5000,
 ) -> LemmaReport:
     """Injectivity and δ-divisibility of the induced map, per subgroup.
 
@@ -448,13 +425,13 @@ def verify_lemma_properties(
     lattice = build_picard_lattice(degree_spec)
     label = lattice.degree_label
     sampled = samples is not None or label == "1" or (
-        label == "2" and TIER_RANK.get(tier, 0) < TIER_RANK["stretch"]
+        label == "2" and not tier_admits(tier, label)
     )
     if sampled:
         quotient = lattice.quotient_mod_canonical()
         count = samples if samples is not None else 200
         records = []
-        for s in sample_subgroups(label, count, seed, order_cap=order_cap):
+        for s in sample_subgroups(label, count, seed):
             records.append(
                 analyze_subgroup(
                     lattice, quotient, s.generator_matrices, s.order, s.ident

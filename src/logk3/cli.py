@@ -2,8 +2,9 @@
 
 Primary output (tables, reports, JSON) goes to stdout and is byte-stable
 for identical invocations; timing and progress notes go to stderr.  Exit
-codes: 0 success, 1 verification mismatch, 2 usage error, 3 tier or
-budget refusal.
+codes: 0 success, 1 verification mismatch, 2 usage error, 3 refusal (tier
+limit, budget expiry, sampling retries exhausted, or an infeasible bound
+evaluation).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .bounds import (
     brauer_uniform_bound,
 )
 from .cache import CacheCheckpoint, ResultCache, canonical_json
-from .lattice import build_picard_lattice
+from .lattice import build_picard_lattice, normalize_degree
 from .subgroups import DeadlineExceeded, SampleError, TierExceeded
 from .weyl import closure_of_perms, line_permutations, reflection
 
@@ -29,8 +30,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
-
-TABLE_DEGREES = ("7", "6", "5", "4", "8b")
 
 
 def _emit(text: str) -> None:
@@ -54,7 +53,7 @@ def _cache_from_args(args) -> ResultCache | None:
 
 
 def _table_for_degree(args, degree, cache: ResultCache | None) -> bt.BrauerTable:
-    label = build_picard_lattice(degree).degree_label
+    label = normalize_degree(degree)
     key = None
     if cache is not None:
         key = cache.key("table", degree=label, tier=args.tier)
@@ -197,17 +196,12 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     cache = _cache_from_args(args)
-    degrees = list(TABLE_DEGREES)
-    if bt.TIER_RANK[args.tier] >= bt.TIER_RANK["extended"]:
-        degrees.append("3")
-    if bt.TIER_RANK[args.tier] >= bt.TIER_RANK["stretch"]:
-        degrees.append("2")
     statuses = {}
     tables = []
     failed = False
     pending = []
     for label in sorted(bt.DEGREE_TIER, key=lambda s: (len(s), s)):
-        if label not in degrees:
+        if not bt.tier_admits(args.tier, label):
             statuses[label] = "not computed (tier)"
             continue
         try:
@@ -257,10 +251,11 @@ def _cmd_bound(args) -> int:
     payload = bound.as_json_dict()
     payload["identity_holds"] = bound.identity_holds()
     if args.evaluate_cap is not None:
+        torsion = bound.torsion.evaluate(restrict_cap=args.evaluate_cap)
         payload["value_with_prime_cap"] = {
             "cap": args.evaluate_cap,
-            "torsion": bound.torsion.evaluate(restrict_cap=args.evaluate_cap),
-            "bound": bound.evaluate(restrict_cap=args.evaluate_cap),
+            "torsion": torsion,
+            "bound": bound.for_torsion(torsion),
         }
     _emit_json(payload)
     return EXIT_OK
@@ -294,11 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
             p.add_argument("--budget-seconds", type=float, default=None)
 
+    def add_tier(p):
+        p.add_argument("--tier", choices=bt.TIERS, default=bt.TIERS[0])
+
     p_table = sub.add_parser("table", help="cohomology pair table for a degree")
     p_table.add_argument("--degree", required=True)
-    p_table.add_argument(
-        "--tier", choices=("exhaustive", "extended", "stretch"), default="exhaustive"
-    )
+    add_tier(p_table)
     add_common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
@@ -331,18 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--degree", required=True)
     p_lemma.add_argument("--samples", type=int, default=None)
     p_lemma.add_argument("--seed", type=int, default=0)
-    p_lemma.add_argument(
-        "--tier", choices=("exhaustive", "extended", "stretch"), default="exhaustive"
-    )
+    add_tier(p_lemma)
     add_common(p_lemma)
     p_lemma.set_defaults(func=_cmd_verify_lemma)
 
     p_verify = sub.add_parser(
         "verify-paper", help="compare computed tables against the reference"
     )
-    p_verify.add_argument(
-        "--tier", choices=("exhaustive", "extended", "stretch"), default="exhaustive"
-    )
+    add_tier(p_verify)
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify_paper)
 

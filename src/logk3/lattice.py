@@ -176,8 +176,17 @@ class PicardLattice:
         return d
 
 
+_LATTICES: dict[str, PicardLattice] = {}
+
+
 def build_picard_lattice(degree_spec: int | str) -> PicardLattice:
-    return PicardLattice(degree_spec)
+    """The shared lattice of a degree, so its lines, roots and quotient
+    presentation are computed once per process."""
+    label = normalize_degree(degree_spec)
+    lattice = _LATTICES.get(label)
+    if lattice is None:
+        lattice = _LATTICES[label] = PicardLattice(label)
+    return lattice
 
 
 def bounded_class_search(

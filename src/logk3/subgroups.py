@@ -39,8 +39,12 @@ from .weyl import (
 )
 from .zcohomology import mat_mul
 
+# group-order limit per tier, cheapest tier first; the key order is the
+# tier order everywhere
 TIER_LIMITS = {"exhaustive": 2_000, "extended": 60_000, "stretch": 3_000_000}
 DOUBLE_COSET_THRESHOLD = 500
+# fewest and most generators of a sampled subgroup
+SAMPLE_GENERATOR_COUNTS = (2, 5)
 
 
 class TierExceeded(RuntimeError):
@@ -528,7 +532,6 @@ def sample_subgroups(
     count: int,
     seed: int,
     order_cap: int = 5000,
-    generator_count_range: tuple[int, int] = (2, 5),
     retry_factor: int = 50,
 ) -> list[SampledSubgroup]:
     """Random reflection subgroups of the degree-1 or degree-2 Weyl group.
@@ -546,7 +549,7 @@ def sample_subgroups(
     perms = line_permutations(lattice.lines(), mats)
 
     rng = random.Random(seed)
-    lo, hi = generator_count_range
+    lo, hi = SAMPLE_GENERATOR_COUNTS
     samples: list[SampledSubgroup] = []
     attempts = 0
     max_attempts = max(1, retry_factor * count)

@@ -267,20 +267,6 @@ def solve_exact(
     return mat_mul(form.right, x_prime) if n else tuple()
 
 
-def column_span_basis(matrix: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Basis of the lattice spanned by the columns of A."""
-    m = len(matrix)
-    if m == 0 or not matrix[0]:
-        return ()
-    form = smith_normal_form(matrix)
-    cols = columns_of(form.left_inv)
-    return tuple(
-        tuple(d * x for x in cols[j])
-        for j, d in enumerate(form.diagonal)
-        if d
-    )
-
-
 # ── finite abelian groups ───────────────────────────────────────────────────
 
 
@@ -485,6 +471,10 @@ class FiniteAbelianMap:
 
     Coordinate i of the domain is Z modulo ``domain_annihilators[i]`` and
     likewise for the codomain; ``matrix`` acts on column vectors.
+
+    Only the cokernel is computed.  For finite groups the exact sequence
+    0 -> ker -> A -> B -> coker -> 0 gives |ker| = |A|·|coker| / |B|, so the
+    map is injective exactly when |A|·|coker| = |B|.
     """
 
     domain: AbelianGroupStructure
@@ -492,29 +482,6 @@ class FiniteAbelianMap:
     matrix: Matrix
     domain_annihilators: tuple[int, ...]
     codomain_annihilators: tuple[int, ...]
-
-    def kernel(self) -> AbelianGroupStructure:
-        rows = len(self.codomain_annihilators)
-        cols = len(self.domain_annihilators)
-        if cols == 0:
-            return AbelianGroupStructure()
-        bordered = [
-            list(self.matrix[i]) + [self.codomain_annihilators[i] if j == i else 0 for j in range(rows)]
-            for i in range(rows)
-        ]
-        gens = kernel_basis(bordered)
-        projected = from_columns([g[:cols] for g in gens], rows=cols)
-        basis = column_span_basis(projected)
-        basis_matrix = from_columns(basis, rows=cols)
-        diag = from_columns(
-            [
-                [self.domain_annihilators[i] if j == i else 0 for i in range(cols)]
-                for j in range(cols)
-            ],
-            rows=cols,
-        )
-        rel = solve_exact(basis_matrix, diag)
-        return AbelianGroupStructure.from_diagonal(smith_normal_form(rel).diagonal)
 
     def cokernel(self) -> AbelianGroupStructure:
         rows = len(self.codomain_annihilators)
@@ -530,8 +497,13 @@ class FiniteAbelianMap:
             raise AssertionError("cokernel of a finite-target map came out infinite")
         return AbelianGroupStructure.from_diagonal(form.diagonal)
 
-    def is_injective(self) -> bool:
-        return self.kernel().is_trivial
+    def is_injective(self, cokernel: AbelianGroupStructure | None = None) -> bool:
+        """Trivial kernel, read off the orders; ``cokernel`` may pass in the
+        map's own cokernel when the caller has it already."""
+        coker = self.cokernel() if cokernel is None else cokernel
+        return prod(self.domain_annihilators) * coker.order == prod(
+            self.codomain_annihilators
+        )
 
 
 def h1_induced_map(

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from logk3 import brauer_table
 from logk3.brauer_table import (
     BrauerTable,
     TableRow,
+    analyze_degree,
     analyze_subgroup,
     class_ident,
     compute_table,
@@ -105,6 +107,21 @@ def test_compute_table_tier_refusals():
 def test_degree_context_rejects_degree_one():
     with pytest.raises(ValueError):
         degree_context(1)
+
+
+def test_tier_refused_before_group_is_built(monkeypatch):
+    def no_group(lattice):
+        raise AssertionError("the Weyl group was built")
+
+    monkeypatch.setattr(brauer_table, "weyl_group", no_group)
+    with pytest.raises(TierExceeded, match="stretch"):
+        analyze_degree(2)
+    with pytest.raises(TierExceeded, match="extended"):
+        analyze_degree(3)
+    with pytest.raises(ValueError):
+        analyze_degree(1)
+    with pytest.raises(ValueError):
+        analyze_degree(5, tier="no-such-tier")
 
 
 @pytest.mark.parametrize("degree", ["8b", "7", "6", "5", "4"])

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+from logk3 import cli
+from logk3.bounds import TorsionBound
 
 CLI = [sys.executable, "-m", "logk3.cli"]
 
@@ -160,6 +162,22 @@ def test_bound_subcommand(tmp_path):
         check=0,
     )
     assert json.loads(overridden.stdout)["flags"] == []
+
+
+def test_bound_evaluates_torsion_once(monkeypatch, capsys):
+    calls = []
+    per_prime = TorsionBound.max_power
+
+    def counted(self, p):
+        calls.append(p)
+        return per_prime(self, p)
+
+    monkeypatch.setattr(TorsionBound, "max_power", counted)
+    assert cli.main(["bound", "-m", "1", "--evaluate-cap", "2000"]) == 0
+    payload = json.loads(capsys.readouterr().out)["value_with_prime_cap"]
+    assert payload["bound"] == 16384 * payload["torsion"] ** 2
+    # one factor per prime up to the cap: 303 primes are at most 2000
+    assert len(calls) == len(set(calls)) == 303
 
 
 def test_bound_value_size_refusal(tmp_path):

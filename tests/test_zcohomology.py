@@ -115,10 +115,9 @@ def test_finite_abelian_map_extremes():
     dom = AbelianGroupStructure((2, 4))
     ident = FiniteAbelianMap(dom, dom, ((1, 0), (0, 1)), (2, 4), (2, 4))
     assert ident.is_injective()
-    assert ident.kernel().is_trivial
     assert ident.cokernel().is_trivial
     zero = FiniteAbelianMap(dom, dom, ((0, 0), (0, 0)), (2, 4), (2, 4))
-    assert zero.kernel().invariant_factors == (2, 4)
+    assert not zero.is_injective()
     assert zero.cokernel().invariant_factors == (2, 4)
     # x mod 2 -> 2x mod 4 is injective but not surjective
     emb = FiniteAbelianMap(
@@ -126,6 +125,14 @@ def test_finite_abelian_map_extremes():
     )
     assert emb.is_injective()
     assert emb.cokernel().invariant_factors == (2,)
+    assert emb.is_injective(emb.cokernel())
+    # x mod 4 -> x mod 2 is surjective but not injective
+    red = FiniteAbelianMap(
+        AbelianGroupStructure((4,)), AbelianGroupStructure((2,)), ((1,),), (4,), (2,)
+    )
+    assert red.cokernel().is_trivial
+    assert not red.is_injective()
+    assert not red.is_injective(red.cokernel())
 
 
 # ── h1 on pencil-and-paper cases ────────────────────────────────────────────
