@@ -23,8 +23,11 @@ from dataclasses import dataclass, field
 FEASIBLE_PRIME_CAP = 4_000_000
 
 # evaluations whose value could pass this many decimal digits are refused
-# before any product is formed; the largest routine one (m = 1 over the
-# primes up to 8320) has about 275k digits
+# before any product is formed, to bound the time and memory of the product;
+# the largest routine one (m = 1 over the primes up to 8320) has about 275k
+# digits.  Printing does not depend on it: the command line prints evaluated
+# values through ``digits.decimal_str``, which the int-to-str limit does not
+# reach
 MAX_VALUE_DIGITS = 1_000_000
 
 

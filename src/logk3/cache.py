@@ -16,6 +16,8 @@ import time
 from hashlib import blake2b
 from pathlib import Path
 
+from .digits import decimal_str
+
 SCHEMA_VERSION = 1
 # bump when enumeration or cohomology output changes shape or meaning
 ALGORITHM_VERSION = 1
@@ -32,8 +34,44 @@ def default_cache_dir() -> Path:
     return root / "logk3"
 
 
+class ExactInt:
+    """A non-negative int that ``canonical_json`` prints as bare digits
+    through ``decimal_str``, for values too long for the quadratic ``str``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+
+# what json.dumps writes for the string standing in for an ExactInt
+_EXACT_MARK = "\0exact"
+_EXACT_TOKEN = json.dumps(_EXACT_MARK)
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no whitespace; ``ExactInt`` values print as plain ints."""
+    exact: list[int] = []
+
+    def stand_in(obj):
+        if not isinstance(obj, ExactInt):
+            name = type(obj).__name__
+            raise TypeError(f"Object of type {name} is not JSON serializable")
+        exact.append(obj.value)
+        return _EXACT_MARK
+
+    text = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=stand_in
+    )
+    if not exact:
+        return text
+    pieces = text.split(_EXACT_TOKEN)
+    if len(pieces) != len(exact) + 1:
+        raise ValueError("a payload string collides with the ExactInt stand-in")
+    out = [pieces[0]]
+    for value, piece in zip(exact, pieces[1:]):
+        out += (decimal_str(value), piece)
+    return "".join(out)
 
 
 class ResultCache:

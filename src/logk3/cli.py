@@ -10,26 +10,27 @@ evaluation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import brauer_table as bt
-from .bounds import (
-    MAX_VALUE_DIGITS,
-    BoundConfig,
-    FeasibilityError,
-    brauer_uniform_bound,
-)
-from .cache import CacheCheckpoint, ResultCache, canonical_json
+from .bounds import BoundConfig, FeasibilityError, brauer_uniform_bound
+from .cache import CacheCheckpoint, ExactInt, ResultCache, canonical_json
 from .lattice import build_picard_lattice, normalize_degree
 from .subgroups import DeadlineExceeded, SampleError, TierExceeded
-from .weyl import closure_of_perms, line_permutations, reflection
+from .weyl import closure_of_perms, reflection
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+
+# int-to-str digit limit; evaluated bound values print through decimal_str,
+# which it does not reach, so it guards only the descriptor's prime cap: that
+# cap grows with m, is never evaluated, and stays printable up to m ~ 17000
+INT_STR_DIGITS = 2_000_000
 
 
 def _emit(text: str) -> None:
@@ -139,7 +140,8 @@ def _cmd_h1(args) -> int:
         return EXIT_USAGE
     mats = [reflection(lattice, roots[idx]) for idx in picks]
     closed = closure_of_perms(
-        line_permutations(lattice.lines(), mats), cap=args.order_cap
+        [lattice.reflection_permutation(idx) for idx in picks],
+        cap=args.order_cap,
     )
     if closed is None:
         _note(f"subgroup closure exceeded order cap {args.order_cap}")
@@ -254,8 +256,8 @@ def _cmd_bound(args) -> int:
         torsion = bound.torsion.evaluate(restrict_cap=args.evaluate_cap)
         payload["value_with_prime_cap"] = {
             "cap": args.evaluate_cap,
-            "torsion": torsion,
-            "bound": bound.for_torsion(torsion),
+            "torsion": ExactInt(torsion),
+            "bound": ExactInt(bound.for_torsion(torsion)),
         }
     _emit_json(payload)
     return EXIT_OK
@@ -271,7 +273,26 @@ def _cmd_cache(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after:
+    ``parse_args`` leaves it unchanged and writes its errors to the
+    ``sys.stderr`` of the moment."""
     parser = argparse.ArgumentParser(
         prog="logk3",
         description=(
@@ -317,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated root indices; generators are their reflections",
     )
-    p_h1.add_argument("--order-cap", type=int, default=100_000)
+    p_h1.add_argument("--order-cap", type=_int_at_least(1), default=100_000)
     add_common(p_h1, cacheable=False)
     p_h1.set_defaults(func=_cmd_h1)
 
@@ -342,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("-m", type=int, required=True)
     p_bound.add_argument("--parent-p2", type=int, default=None)
     p_bound.add_argument("--parent-p3", type=int, default=None)
-    p_bound.add_argument("--evaluate-cap", type=int, default=None)
+    p_bound.add_argument("--evaluate-cap", type=_int_at_least(0), default=None)
     add_common(p_bound, cacheable=False)
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -364,13 +385,9 @@ def _report_error(args, err: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    # every value the bounds module admits must render; the headroom over
-    # MAX_VALUE_DIGITS keeps the descriptor's prime cap, which grows with m
-    # and is not evaluated, printable up to m of about 17000
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2 * MAX_VALUE_DIGITS)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+        sys.set_int_max_str_digits(INT_STR_DIGITS)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TierExceeded, DeadlineExceeded, SampleError, FeasibilityError) as err:

@@ -80,6 +80,8 @@ class PicardLattice:
         self.gram_diagonal: Vector = (1,) + (-1,) * (self.rank - 1)
         self._roots: tuple[Vector, ...] | None = None
         self._lines: tuple[Vector, ...] | None = None
+        self._line_index: dict[Vector, int] | None = None
+        self._reflection_perms: dict[int, bytes] = {}
         self._quotient: QuotientPresentation | None = None
 
     def __repr__(self) -> str:
@@ -140,6 +142,19 @@ class PicardLattice:
                 seeds.append(tuple(v))
             self._lines = self._orbit_closure(tuple(seeds))
         return self._lines
+
+    def reflection_permutation(self, k: int) -> bytes:
+        """The permutation of ``lines()`` by the reflection in ``roots()[k]``,
+        one byte per image; each root's is computed once."""
+        perm = self._reflection_perms.get(k)
+        if perm is None:
+            lines = self.lines()
+            if self._line_index is None:
+                self._line_index = {line: i for i, line in enumerate(lines)}
+            root = self.roots()[k]
+            perm = bytes(self._line_index[self.reflect(root, line)] for line in lines)
+            self._reflection_perms[k] = perm
+        return perm
 
     def quotient_mod_canonical(self) -> QuotientPresentation:
         """Present Pic modulo ZK by extending K to a basis via Smith reduction."""

@@ -32,7 +32,6 @@ from .lattice import build_picard_lattice
 from .weyl import (
     Matrix,
     closure_of_perms,
-    line_permutations,
     mult_perm,
     perm_order,
     reflection,
@@ -546,7 +545,7 @@ def sample_subgroups(
         raise ValueError("sampling is intended for degrees 1 and 2")
     roots = lattice.roots()
     mats = [reflection(lattice, r) for r in roots]
-    perms = line_permutations(lattice.lines(), mats)
+    perms = [lattice.reflection_permutation(k) for k in range(len(roots))]
 
     rng = random.Random(seed)
     lo, hi = SAMPLE_GENERATOR_COUNTS

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
-from logk3 import cli
-from logk3.bounds import TorsionBound
+import pytest
+
+from logk3 import cache, cli
+from logk3.bounds import TorsionBound, brauer_uniform_bound
 
 CLI = [sys.executable, "-m", "logk3.cli"]
 
@@ -178,6 +180,60 @@ def test_bound_evaluates_torsion_once(monkeypatch, capsys):
     assert payload["bound"] == 16384 * payload["torsion"] ** 2
     # one factor per prime up to the cap: 303 primes are at most 2000
     assert len(calls) == len(set(calls)) == 303
+
+
+def test_bound_prints_the_plain_payload_bytes(capsys):
+    argv = ["bound", "-m", "1", "--evaluate-cap", "2000", "--format", "json"]
+    assert cli.main(argv) == 0
+    bound = brauer_uniform_bound(1)
+    torsion = bound.torsion.evaluate(restrict_cap=2000)
+    payload = bound.as_json_dict()
+    payload["identity_holds"] = True
+    payload["value_with_prime_cap"] = {
+        "cap": 2000,
+        "torsion": torsion,
+        "bound": 16384 * torsion**2,
+    }
+    # str-rendered plain ints are the reference bytes
+    assert capsys.readouterr().out == cache.canonical_json(payload) + "\n"
+
+
+def test_main_reuses_one_parser(capsys):
+    cli.build_parser.cache_clear()
+    assert cli.main(["lines", "--degree", "7"]) == 0
+    assert cli.main(["roots", "--degree", "7"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "-m", "1", "--evaluate-cap", "-5"],
+        ["h1", "--degree", "6", "--subgroup", "0", "--order-cap", "0"],
+        ["h1", "--degree", "6", "--subgroup", "0", "--order-cap", "-1"],
+    ],
+)
+def test_caps_below_their_minimum_are_usage_errors(argv, capsys):
+    cli.main(["lines", "--degree", "7"])  # the shared parser exists already
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    # argparse reports to the stderr of this call
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+
+
+def test_caps_at_their_minimum(capsys):
+    assert cli.main(["bound", "-m", "1", "--evaluate-cap", "0"]) == 0
+    window = json.loads(capsys.readouterr().out)["value_with_prime_cap"]
+    assert window == {"cap": 0, "torsion": 1, "bound": 16384}
+    # an order-2 subgroup passes cap 2 and is refused at cap 1
+    h1 = ["h1", "--degree", "6", "--subgroup", "0", "--order-cap"]
+    assert cli.main(h1 + ["2"]) == 0
+    assert cli.main(h1 + ["1"]) == 3
 
 
 def test_bound_value_size_refusal(tmp_path):

@@ -11,6 +11,7 @@ from logk3.weyl import (
     generate_group,
     invert_perm,
     is_isometry,
+    line_permutations,
     mult_perm,
     perm_order,
     reflection,
@@ -33,6 +34,14 @@ def test_orders(groups):
 
 def test_degree3_order():
     assert weyl_group(build_picard_lattice(3)).order == 51840
+
+
+def test_reflection_permutation_matches_the_matrix_action():
+    for degree in (1, 4, 7):
+        lat = build_picard_lattice(degree)
+        roots = lat.roots()
+        want = line_permutations(lat.lines(), [reflection(lat, r) for r in roots])
+        assert [lat.reflection_permutation(k) for k in range(len(roots))] == want
 
 
 def test_reflection_properties():
