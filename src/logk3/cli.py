@@ -20,7 +20,7 @@ from .bounds import BoundConfig, FeasibilityError, brauer_uniform_bound
 from .cache import CacheCheckpoint, ExactInt, ResultCache, canonical_json
 from .lattice import build_picard_lattice, normalize_degree
 from .subgroups import DeadlineExceeded, SampleError, TierExceeded
-from .weyl import closure_of_perms, reflection
+from .weyl import perm_group_order
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,8 +60,20 @@ def _table_for_degree(args, degree, cache: ResultCache | None) -> bt.BrauerTable
         key = cache.key("table", degree=label, tier=args.tier)
         stored = cache.get(key)
         if stored is not None:
-            _note(f"table degree {label}: cache hit")
-            return bt.table_from_json_dict(stored)
+            try:
+                table = bt.table_from_json_dict(stored)
+                if (table.degree_label, table.tier) != (label, args.tier):
+                    raise ValueError(
+                        f"entry is for degree {table.degree_label}, tier {table.tier}"
+                    )
+            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                _note(
+                    f"table degree {label}: malformed cache entry ({err!r}), "
+                    "recomputing"
+                )
+            else:
+                _note(f"table degree {label}: cache hit")
+                return table
     checkpoint = None
     if cache is not None:
         checkpoint = CacheCheckpoint(
@@ -138,20 +150,15 @@ def _cmd_h1(args) -> int:
     except ValueError as err:
         _note(f"bad --subgroup: {err}")
         return EXIT_USAGE
-    mats = [reflection(lattice, roots[idx]) for idx in picks]
-    closed = closure_of_perms(
-        [lattice.reflection_permutation(idx) for idx in picks],
-        cap=args.order_cap,
-    )
-    if closed is None:
+    order = perm_group_order([lattice.reflection_permutation(idx) for idx in picks])
+    if order > args.order_cap:
         _note(f"subgroup closure exceeded order cap {args.order_cap}")
         return EXIT_REFUSED
-    quotient = lattice.quotient_mod_canonical()
     analysis = bt.analyze_subgroup(
         lattice,
-        quotient,
-        tuple(mats),
-        len(closed),
+        lattice.quotient_mod_canonical(),
+        tuple(lattice.reflection_matrix(idx) for idx in picks),
+        order,
         "roots:" + ",".join(map(str, picks)),
     )
     _emit_json(
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-lemma", help="induced-map injectivity and delta divisibility"
     )
     p_lemma.add_argument("--degree", required=True)
-    p_lemma.add_argument("--samples", type=int, default=None)
+    p_lemma.add_argument("--samples", type=_int_at_least(1), default=None)
     p_lemma.add_argument("--seed", type=int, default=0)
     add_tier(p_lemma)
     add_common(p_lemma)

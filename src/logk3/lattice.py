@@ -82,6 +82,7 @@ class PicardLattice:
         self._lines: tuple[Vector, ...] | None = None
         self._line_index: dict[Vector, int] | None = None
         self._reflection_perms: dict[int, bytes] = {}
+        self._reflection_matrices: dict[int, Matrix] = {}
         self._quotient: QuotientPresentation | None = None
 
     def __repr__(self) -> str:
@@ -155,6 +156,17 @@ class PicardLattice:
             perm = bytes(self._line_index[self.reflect(root, line)] for line in lines)
             self._reflection_perms[k] = perm
         return perm
+
+    def reflection_matrix(self, k: int) -> Matrix:
+        """The matrix of the reflection in ``roots()[k]``, built by
+        ``weyl.reflection`` once per root."""
+        matrix = self._reflection_matrices.get(k)
+        if matrix is None:
+            from . import weyl  # weyl builds on this module
+
+            matrix = weyl.reflection(self, self.roots()[k])
+            self._reflection_matrices[k] = matrix
+        return matrix
 
     def quotient_mod_canonical(self) -> QuotientPresentation:
         """Present Pic modulo ZK by extending K to a basis via Smith reduction."""

@@ -34,7 +34,6 @@ from .weyl import (
     closure_of_perms,
     mult_perm,
     perm_order,
-    reflection,
 )
 from .zcohomology import mat_mul
 
@@ -544,8 +543,6 @@ def sample_subgroups(
     if lattice.degree_label not in ("1", "2"):
         raise ValueError("sampling is intended for degrees 1 and 2")
     roots = lattice.roots()
-    mats = [reflection(lattice, r) for r in roots]
-    perms = [lattice.reflection_permutation(k) for k in range(len(roots))]
 
     rng = random.Random(seed)
     lo, hi = SAMPLE_GENERATOR_COUNTS
@@ -565,11 +562,12 @@ def sample_subgroups(
         for _ in range(k):
             base = rng.randrange(len(roots))
             word = [rng.randrange(len(roots)) for _ in range(rng.randint(0, 3))]
-            mat = mats[base]
-            perm = perms[base]
+            mat = lattice.reflection_matrix(base)
+            perm = lattice.reflection_permutation(base)
             for w in reversed(word):
-                mat = mat_mul(mats[w], mat_mul(mat, mats[w]))
-                perm = mult_perm(perms[w], mult_perm(perm, perms[w]))
+                s, p = lattice.reflection_matrix(w), lattice.reflection_permutation(w)
+                mat = mat_mul(s, mat_mul(mat, s))
+                perm = mult_perm(p, mult_perm(perm, p))
             gen_mats.append(mat)
             gen_perms.append(perm)
         closed = closure_of_perms(gen_perms, cap=order_cap)

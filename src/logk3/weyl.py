@@ -12,7 +12,7 @@ computed once per group.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from typing import Iterable
 
 from .lattice import PicardLattice
@@ -146,6 +146,98 @@ def closure_of_perms(
                 seen.add(product)
                 queue.append(product)
     return queue
+
+
+class _ChainLevel:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix the earlier base points (as padded tables), and the orbit of
+    the base point under them.  ``coset[x]`` is (u, table of u⁻¹) with
+    u(point) = x; entries are only ever added, never replaced."""
+
+    __slots__ = ("point", "gens", "orbit", "coset", "verified")
+
+    def __init__(self, point: int, identity: bytes):
+        self.point = point
+        self.gens: list[bytes] = []
+        self.orbit = [point]
+        self.coset = {point: (identity, pad_table(identity))}
+        # (orbit position, generator position) pairs whose Schreier
+        # generator sifted to the identity through the deeper levels
+        self.verified: set[tuple[int, int]] = set()
+
+    def add_generator(self, table: bytes) -> None:
+        """Append a strong generator and regrow the orbit over all of them."""
+        self.gens.append(table)
+        coset = self.coset
+        for x in self.orbit:  # also visits the points appended below
+            u = coset[x][0]
+            for s in self.gens:
+                image = s[x]
+                if image not in coset:
+                    v = u.translate(s)
+                    coset[image] = (v, pad_table(invert_perm(v)))
+                    self.orbit.append(image)
+
+
+def perm_group_order(generator_perms: list[bytes]) -> int:
+    """Order of the group the permutations generate, without listing it.
+
+    Deterministic Schreier–Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4): a base and strong generating set are grown
+    until every Schreier generator of every level sifts to the identity
+    through the levels below it; the order is then the product of the
+    basic orbit lengths.  Each new base point is the first point the
+    residue moves, and a residue that fixes b₀…b_{l−1} joins every level
+    ≤ l.  The empty list and the identity generate the trivial group.
+    """
+    npts = len(generator_perms[0]) if generator_perms else 0
+    identity = bytes(range(npts))
+    levels: list[_ChainLevel] = []
+
+    def sift(g: bytes, start: int) -> tuple[bytes, int]:
+        for depth in range(start, len(levels)):
+            entry = levels[depth].coset.get(g[levels[depth].point])
+            if entry is None:
+                return g, depth
+            g = g.translate(entry[1])
+        return g, len(levels)
+
+    def add_residue(h: bytes, depth: int) -> None:
+        if depth == len(levels):
+            moved = next(i for i, img in enumerate(h) if img != i)
+            levels.append(_ChainLevel(moved, identity))
+        table = pad_table(h)
+        for level in levels[: depth + 1]:
+            level.add_generator(table)
+
+    def first_residue(depth: int) -> tuple[bytes, int] | None:
+        level = levels[depth]
+        for i, x in enumerate(level.orbit):
+            u = level.coset[x][0]
+            for j, s in enumerate(level.gens):
+                if (i, j) in level.verified:
+                    continue
+                # the Schreier generator u_{s(x)}⁻¹ · s · u_x fixes b₀…b_depth
+                schreier = u.translate(s).translate(level.coset[s[x]][1])
+                h, drop = sift(schreier, depth + 1)
+                if h != identity:
+                    return h, drop
+                level.verified.add((i, j))
+        return None
+
+    for g in generator_perms:
+        h, depth = sift(g, 0)
+        if h != identity:
+            add_residue(h, depth)
+    depth = len(levels) - 1
+    while depth >= 0:
+        residue = first_residue(depth)
+        if residue is None:
+            depth -= 1
+        else:
+            add_residue(*residue)
+            depth = residue[1]
+    return prod(len(level.orbit) for level in levels)
 
 
 class PermGroupTable:

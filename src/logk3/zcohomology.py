@@ -225,6 +225,29 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(diagonal, freeze(u), freeze(v), freeze(uinv), freeze(vinv), rank)
 
 
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination, in which every division is exact."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1] if n else 1
+
+
 def kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Basis of the integer kernel {x : A x = 0}.  Saturated by construction."""
     m = len(matrix)
@@ -346,8 +369,7 @@ class GModule:
         for g in self.action:
             if len(g) != self.rank or any(len(row) != self.rank for row in g):
                 raise ValueError("action matrix has wrong shape")
-            form = smith_normal_form(g)
-            if any(d != 1 for d in form.diagonal):
+            if abs(determinant(g)) != 1:
                 raise ValueError("action matrix is not unimodular")
 
 

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from logk3 import cache, cli
 from logk3.bounds import TorsionBound, brauer_uniform_bound
+from logk3.lattice import build_picard_lattice
 
 CLI = [sys.executable, "-m", "logk3.cli"]
 
@@ -118,6 +120,58 @@ def test_h1_subcommand(tmp_path):
     assert data["injective"] is True
     bad = run_cli(["h1", "--degree", "6", "--subgroup", "99"], tmp_path)
     assert bad.returncode == 2
+
+
+def test_h1_orders_the_whole_degree1_weyl_group(capsys):
+    lat = build_picard_lattice(1)
+    simple = ",".join(str(lat.roots().index(r)) for r in lat.simple_roots())
+    h1 = ["h1", "--degree", "1", "--subgroup", simple, "--format", "json"]
+    start = time.process_time()
+    assert cli.main(h1 + ["--order-cap", "696729600"]) == 0
+    assert time.process_time() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["order"] == 696729600
+    assert cli.main(h1 + ["--order-cap", "696729599"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "subgroup closure exceeded order cap 696729599\n"
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda good: {},
+        lambda good: [],
+        lambda good: "rows",
+        lambda good: dict(good, rows=5),
+        lambda good: dict(good, rows=[{"brx": [1]}]),
+        lambda good: dict(good, degree="5"),
+    ],
+)
+def test_malformed_table_entry_is_recomputed(spoil, tmp_path, capsys):
+    argv = ["table", "--degree", "6", "--format", "json", "--jobs", "1",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    fresh = capsys.readouterr().out
+    store = cache.ResultCache(tmp_path)
+    key = store.key("table", degree="6", tier="exhaustive")
+    store.put(key, "table", spoil(store.get(key)))
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh
+    assert "malformed cache entry" in captured.err
+    # the recomputed table replaced the bad entry
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh
+    assert "cache hit" in captured.err
+
+
+def test_verify_lemma_needs_a_sample(capsys):
+    argv = ["verify-lemma", "--degree", "1", "--samples", "0"]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_lemma_subcommand(tmp_path):

@@ -32,6 +32,10 @@ def test_tracer_installs_and_sees_each_command():
     try:
         assert run(tracer, ["bound", "-m", "1", "--evaluate-cap", "100"]) == 0
         assert run(tracer, ["h1", "--degree", "5", "--subgroup", "0,1"]) == 0
+        # h1 reads its order off a stabilizer chain, without a closure
+        assert tracer.counts["subgroups.closure_elements"] == 0
+        assert tracer.counts["brauer_table.analyze_calls"] == 1
+        assert run(tracer, ["table", "--degree", "4", "--no-cache", "--jobs", "1"]) == 0
     finally:
         tracer.uninstall()
     assert cli.canonical_json is cache.canonical_json
@@ -48,4 +52,4 @@ def test_tracer_installs_and_sees_each_command():
     # one factor per prime up to 100
     assert tracer.counts["bounds.primes"] == 25
     assert tracer.counts["cli.output_bytes"] > 0
-    assert tracer.counts["brauer_table.analyze_calls"] == 1
+    assert tracer.counts["subgroups.closure_elements"] > 0

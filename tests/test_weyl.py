@@ -8,11 +8,13 @@ from logk3.lattice import build_picard_lattice
 from logk3.subgroups import _Enumerator
 from logk3.weyl import (
     BudgetExceeded,
+    closure_of_perms,
     generate_group,
     invert_perm,
     is_isometry,
     line_permutations,
     mult_perm,
+    perm_group_order,
     perm_order,
     reflection,
     weyl_group,
@@ -42,6 +44,52 @@ def test_reflection_permutation_matches_the_matrix_action():
         roots = lat.roots()
         want = line_permutations(lat.lines(), [reflection(lat, r) for r in roots])
         assert [lat.reflection_permutation(k) for k in range(len(roots))] == want
+
+
+def test_reflection_matrix_is_kept_per_root():
+    lat = build_picard_lattice(4)
+    roots = lat.roots()
+    for k in (0, 7, len(roots) - 1):
+        assert lat.reflection_matrix(k) == reflection(lat, roots[k])
+        assert lat.reflection_matrix(k) is lat.reflection_matrix(k)
+
+
+def test_perm_group_order_of_whole_weyl_groups():
+    orders = {"7": 2, "6": 12, "5": 120, "4": 1920, "3": 51840, "2": 2903040,
+              "1": 696729600}
+    for degree, expected in orders.items():
+        lat = build_picard_lattice(degree)
+        simple = [lat.roots().index(r) for r in lat.simple_roots()]
+        gens = [lat.reflection_permutation(k) for k in simple]
+        assert perm_group_order(gens) == expected, degree
+
+
+def test_perm_group_order_matches_the_closure():
+    rng = random.Random(6)
+    for degree in (1, 2, 3, 4, 5, 6, 7):
+        lat = build_picard_lattice(degree)
+        count = len(lat.roots())
+        perms = [lat.reflection_permutation(k) for k in range(count)]
+        identity = bytes(range(len(lat.lines())))
+        assert perm_group_order([identity]) == 1
+        assert perm_group_order([identity, identity]) == 1
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                # a reflection conjugated by a short word in further ones
+                p = perms[rng.randrange(count)]
+                for w in (rng.randrange(count) for _ in range(rng.randint(0, 3))):
+                    p = mult_perm(perms[w], mult_perm(p, perms[w]))
+                gens.append(p)
+            closed = closure_of_perms(gens, cap=60_000)
+            if closed is not None:
+                assert perm_group_order(gens) == len(closed), (degree, gens)
+                assert perm_group_order(gens + [identity]) == len(closed)
+    assert perm_group_order([]) == 1
+    # a product of two disjoint cycles, and a generator listed twice
+    p = bytes((1, 2, 0, 4, 3))
+    assert perm_group_order([p]) == 6
+    assert perm_group_order([p, p]) == 6
 
 
 def test_reflection_properties():

@@ -6,6 +6,8 @@ lattice and on the quotient) plus a corpus of small matrix groups.
 """
 
 import random
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -19,6 +21,7 @@ from logk3.zcohomology import (
     H1Result,
     cocycle_oracle_h1,
     columns_of,
+    determinant,
     fixed_sublattice,
     h1,
     h1_induced_map,
@@ -75,6 +78,38 @@ def test_snf_structured():
     check_snf(((2, 0), (0, 3)))
     form = smith_normal_form(((2, 0), (0, 3)))
     assert form.diagonal == (1, 6)
+
+
+def leibniz_determinant(a):
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_determinant_matches_leibniz_and_the_smith_diagonal():
+    rng = random.Random(11)
+    for trial in range(80):
+        n = rng.randint(1, 7)
+        # small entries, so zero pivots and singular matrices occur
+        a = random_matrix(rng, n, n, -2, 2)
+        det = determinant(a)
+        assert abs(det) == prod(smith_normal_form(a).diagonal)
+        if n <= 5:
+            assert det == leibniz_determinant(a)
+    assert determinant(((0, 1), (1, 0))) == -1
+    assert determinant(((1, 2), (2, 4))) == 0
+    assert determinant(()) == 1
+
+
+def test_gmodule_rejects_a_non_unimodular_action():
+    with pytest.raises(ValueError, match="not unimodular"):
+        GModule(2, (((2, 0), (0, 1)),))
+    with pytest.raises(ValueError, match="not unimodular"):
+        GModule(2, (((1, 2), (2, 4)),))
+    GModule(2, (((0, 1), (1, 0)), ((2, 1), (1, 1))))
 
 
 def test_kernel_and_solve():
