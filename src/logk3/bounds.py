@@ -152,8 +152,8 @@ class TorsionBound:
 
     ``prime_cap`` is the exact integer B(m) bounding the primes in the
     product.  ``evaluate`` computes the product of the largest admissible
-    prime powers, optionally over a restricted prime set; refusal instead
-    of approximation when the full product cannot be represented.
+    prime powers, optionally only over the primes up to a smaller cap;
+    refusal instead of approximation when the product cannot be represented.
     """
 
     m: int
@@ -181,31 +181,19 @@ class TorsionBound:
             power *= p
         return power
 
-    def evaluate(
-        self,
-        restrict_cap: int | None = None,
-        restrict_primes=None,
-    ) -> int:
-        """The product, exactly; restrictions shrink the prime window."""
-        if restrict_primes is not None:
-            primes = []
-            for p in restrict_primes:
-                if not _is_prime(p):
-                    raise ValueError(f"{p} is not prime")
-                if p <= self.prime_cap:
-                    primes.append(p)
-        else:
-            cap = self.prime_cap
-            if restrict_cap is not None:
-                cap = min(cap, restrict_cap)
-            if cap > FEASIBLE_PRIME_CAP:
-                digits = cap.bit_length() * 30103 // 100000 + 1
-                raise FeasibilityError(
-                    f"the prime window extends to a {digits}-digit cap; the "
-                    "product over every prime in it cannot be materialised - "
-                    "evaluate with restrict_cap or restrict_primes"
-                )
-            primes = _sieve(cap)
+    def evaluate(self, restrict_cap: int | None = None) -> int:
+        """The product, exactly; ``restrict_cap`` shrinks the prime window."""
+        cap = self.prime_cap
+        if restrict_cap is not None:
+            cap = min(cap, restrict_cap)
+        if cap > FEASIBLE_PRIME_CAP:
+            digits = cap.bit_length() * 30103 // 100000 + 1
+            raise FeasibilityError(
+                f"the prime window extends to a {digits}-digit cap; the "
+                "product over every prime in it cannot be materialised - "
+                "evaluate with restrict_cap (--evaluate-cap)"
+            )
+        primes = _sieve(cap)
         # each factor is at most its prime's cap, the p > 3 formula for every
         # prime but 2 and 3, whose constants may be overridden
         general = _parent_formula(self.m).bit_length()
@@ -215,10 +203,6 @@ class TorsionBound:
         }
         _check_size(sum(small.get(p, general) for p in primes))
         return _product([self.max_power(p) for p in primes])
-
-    @property
-    def value(self) -> int:
-        return self.evaluate()
 
     def as_json_dict(self) -> dict:
         return {
@@ -263,12 +247,8 @@ class UniformBound:
             and self.torsion == torsion_bound(self.extension_degree, self.torsion.config)
         )
 
-    def evaluate(
-        self,
-        restrict_cap: int | None = None,
-        restrict_primes=None,
-    ) -> int:
-        return self.for_torsion(self.torsion.evaluate(restrict_cap, restrict_primes))
+    def evaluate(self, restrict_cap: int | None = None) -> int:
+        return self.for_torsion(self.torsion.evaluate(restrict_cap))
 
     def for_torsion(self, t: int) -> int:
         """The bound over a prime window whose torsion product ``t`` the

@@ -106,7 +106,7 @@ class SubgroupAnalysis:
 
 
 def class_ident(cls: SubgroupClass) -> str:
-    packed = ",".join(map(str, cls.fingerprint)).encode()
+    packed = ",".join(map(str, cls.element_set)).encode()
     return blake2b(packed, digest_size=8).hexdigest()
 
 
@@ -179,17 +179,6 @@ def analyze_subgroup(
         section_multiple=section_multiple,
         section_ok=section_ok,
     )
-
-
-def row_for_subgroup(
-    degree_spec,
-    subgroup: SubgroupClass,
-    context: DegreeContext | None = None,
-) -> tuple[AbelianGroupStructure, AbelianGroupStructure]:
-    """The pair (H¹ on the full lattice, H¹ on the quotient) for one class."""
-    ctx = context if context is not None else degree_context(degree_spec)
-    analysis = _analyze_class(ctx, subgroup)
-    return analysis.brx, analysis.bru
 
 
 def _analyze_class(ctx: DegreeContext, cls: SubgroupClass) -> SubgroupAnalysis:

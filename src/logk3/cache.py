@@ -159,14 +159,22 @@ class ResultCache:
 
 
 class CacheCheckpoint:
-    """load/save adapter feeding enumeration layer snapshots to a cache."""
+    """load/save adapter feeding enumeration layer snapshots to a cache.
+
+    A snapshot that cannot be written does not stop the enumeration: the
+    first such OSError is kept in ``write_error`` for the caller to report.
+    """
 
     def __init__(self, cache: ResultCache, key: str):
         self.cache = cache
         self.key = key
+        self.write_error: OSError | None = None
 
     def load(self):
         return self.cache.get(self.key)
 
     def save(self, state) -> None:
-        self.cache.put(self.key, "enumeration-checkpoint", state)
+        try:
+            self.cache.put(self.key, "enumeration-checkpoint", state)
+        except OSError as err:
+            self.write_error = self.write_error or err

@@ -27,9 +27,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-# int-to-str digit limit; evaluated bound values print through decimal_str,
-# which it does not reach, so it guards only the descriptor's prime cap: that
-# cap grows with m, is never evaluated, and stays printable up to m ~ 17000
+# int-to-str digit limit; every huge value ``bound`` prints (the descriptor's
+# prime cap and the evaluated window) goes through decimal_str, which it does
+# not reach, so it only bounds the integers parsed from argv
 INT_STR_DIGITS = 2_000_000
 
 
@@ -55,7 +55,7 @@ def _cache_from_args(args) -> ResultCache | None:
 
 def _table_for_degree(args, degree, cache: ResultCache | None) -> bt.BrauerTable:
     label = normalize_degree(degree)
-    key = None
+    checkpoint = None
     if cache is not None:
         key = cache.key("table", degree=label, tier=args.tier)
         stored = cache.get(key)
@@ -74,8 +74,6 @@ def _table_for_degree(args, degree, cache: ResultCache | None) -> bt.BrauerTable
             else:
                 _note(f"table degree {label}: cache hit")
                 return table
-    checkpoint = None
-    if cache is not None:
         checkpoint = CacheCheckpoint(
             cache, cache.key("enumeration", degree=label, tier=args.tier)
         )
@@ -86,8 +84,15 @@ def _table_for_degree(args, degree, cache: ResultCache | None) -> bt.BrauerTable
         budget_seconds=args.budget_seconds,
         checkpoint=checkpoint,
     )
-    if cache is not None and key is not None:
-        cache.put(key, "table", table.as_json_dict())
+    if cache is not None:
+        # a cache that cannot be written costs the next run, not this result
+        failed = checkpoint.write_error
+        try:
+            cache.put(key, "table", table.as_json_dict())
+        except OSError as err:
+            failed = err
+        if failed is not None:
+            _note(f"table degree {label}: cache write failed ({failed})")
     return table
 
 
@@ -258,6 +263,7 @@ def _cmd_bound(args) -> int:
     )
     bound = brauer_uniform_bound(args.m, config)
     payload = bound.as_json_dict()
+    payload["torsion_bound"]["prime_cap"] = ExactInt(bound.torsion.prime_cap)
     payload["identity_holds"] = bound.identity_holds()
     if args.evaluate_cap is not None:
         torsion = bound.torsion.evaluate(restrict_cap=args.evaluate_cap)
@@ -314,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         if cacheable:
             p.add_argument("--cache-dir", default=None)
             p.add_argument("--no-cache", action="store_true")
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+            p.add_argument(
+                "--jobs", type=_int_at_least(1), default=os.cpu_count() or 1
+            )
             p.add_argument("--budget-seconds", type=float, default=None)
 
     def add_tier(p):

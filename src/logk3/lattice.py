@@ -60,9 +60,6 @@ class QuotientPresentation:
     section: Matrix
     rank: int
 
-    def project_vector(self, v: Vector) -> Vector:
-        return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in self.projection)
-
     def push(self, isometry: Matrix) -> Matrix:
         """Matrix induced on the quotient by an isometry fixing K."""
         return mat_mul(self.projection, mat_mul(isometry, self.section))

@@ -13,7 +13,7 @@ until no new classes appear.  Three facts keep this complete and affordable:
 * a proper subgroup has at most half the parent's elements, so a closure
   that grows past n/2 is the whole group and can stop early.
 
-Conjugacy classes are identified by a canonical fingerprint, the
+Conjugacy classes are identified by a canonical element set, the
 lexicographically smallest sorted element-index set among all conjugates.
 The full conjugation orbit is walked once per class and every member set's
 digest is remembered, which makes later candidates a dictionary hit.
@@ -40,9 +40,15 @@ from .zcohomology import mat_mul
 # group-order limit per tier, cheapest tier first; the key order is the
 # tier order everywhere
 TIER_LIMITS = {"exhaustive": 2_000, "extended": 60_000, "stretch": 3_000_000}
+# parents up to this order extend by plain cosets, larger ones by normalizer
+# orbits of double cosets and, with jobs > 1, in forked workers
 DOUBLE_COSET_THRESHOLD = 500
 # fewest and most generators of a sampled subgroup
 SAMPLE_GENERATOR_COUNTS = (2, 5)
+# sampled closures past this order are redrawn, at most this many draws
+# per requested sample
+SAMPLE_ORDER_CAP = 5000
+SAMPLE_RETRY_FACTOR = 50
 
 
 class TierExceeded(RuntimeError):
@@ -68,19 +74,13 @@ class SampleError(RuntimeError):
 class SubgroupClass:
     """One conjugacy class of subgroups of an enumerated parent group.
 
-    The representative is stored in canonical form, so ``element_set`` and
-    ``fingerprint`` coincide; both are kept to make the contract explicit.
-    ``orbit_size`` is the number of conjugates, i.e. the normalizer index.
-    ``parent_degree`` is the degree label when the parent group acts on a
-    Picard lattice, None for detached permutation groups.
+    ``element_set`` is the canonical representative: the lexicographically
+    smallest sorted element-index set among the conjugates.
     """
 
-    parent_degree: str | None
     generators: tuple[int, ...]
     element_set: tuple[int, ...]
     order: int
-    fingerprint: tuple[int, ...]
-    orbit_size: int
 
 
 def closure_indices(
@@ -150,17 +150,12 @@ class _Enumerator:
                 step = ginv_perm.translate(self.tables[x])
                 arr[x] = self.index[step.translate(gtable)]
             self.conj_arrays.append(arr)
-        self.orders = [perm_order(p) for p in self.elements]
-        self.prime_power = [_is_prime_power(o) for o in self.orders]
-        self.double_coset_threshold = DOUBLE_COSET_THRESHOLD
+        self.prime_power = [_is_prime_power(perm_order(p)) for p in self.elements]
         self.digests: dict[bytes, int] = {}
-        self.records: list[tuple[tuple[int, ...], int, int]] = []
-        # records: (fingerprint set, order, orbit size)
+        # the canonical element set of each class, indexed by class id
+        self.records: list[tuple[int, ...]] = []
         # generator keys whose closure was already taken this run
         self.closure_seen: set[tuple[int, ...]] = set()
-        self.degree_label = getattr(
-            getattr(group, "lattice", None), "degree_label", None
-        )
 
     def lookup(self, els: tuple[int, ...]) -> int | None:
         return self.digests.get(_set_digest(els))
@@ -174,7 +169,7 @@ class _Enumerator:
         if len(els) == self.n:
             # the whole group is its own conjugacy class
             self.digests[dg] = cid
-            self.records.append((els, self.n, 1))
+            self.records.append(els)
             return cid, True
         seen = {dg}
         queue = [els]
@@ -193,7 +188,7 @@ class _Enumerator:
                     queue.append(conj)
                     if conj < best:
                         best = conj
-        self.records.append((best, len(els), len(queue)))
+        self.records.append(best)
         return cid, True
 
     def element_classes(self) -> list[int]:
@@ -264,7 +259,7 @@ class _Enumerator:
             coset_pp.append(has_pp)
         ncosets = len(coset_reps)
         home = coset_id[0]
-        if n <= self.double_coset_threshold or not gens:
+        if n <= DOUBLE_COSET_THRESHOLD or not gens:
             for c in range(ncosets):
                 if c != home and coset_pp[c]:
                     yield coset_reps[c]
@@ -382,7 +377,6 @@ def enumerate_subgroup_classes(
     jobs: int = 1,
     budget_seconds: float | None = None,
     checkpoint=None,
-    double_coset_threshold: int = DOUBLE_COSET_THRESHOLD,
 ) -> list[SubgroupClass]:
     """All subgroups of ``group`` up to conjugacy, sorted deterministically.
 
@@ -403,7 +397,6 @@ def enumerate_subgroup_classes(
         )
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     enum = _Enumerator(group)
-    enum.double_coset_threshold = double_coset_threshold
     n = enum.n
 
     frontier_sets: list[tuple[int, ...]]
@@ -422,15 +415,19 @@ def enumerate_subgroup_classes(
         for els in seeds:
             cid, new = enum.register(els)
             if new:
-                fresh.append(enum.records[cid][0])
+                fresh.append(enum.records[cid])
         frontier_sets = sorted(fresh, key=lambda s: (len(s), s))
 
     def out_of_time() -> DeadlineExceeded:
+        found = len(enum.records)
         return DeadlineExceeded(
-            "subgroup enumeration ran out of time", len(enum.records), layer
+            f"subgroup enumeration ran out of time: {found} classes found, "
+            f"{layer} layers completed",
+            found,
+            layer,
         )
 
-    parallel = jobs > 1 and n > double_coset_threshold
+    parallel = jobs > 1 and n > DOUBLE_COSET_THRESHOLD
     ctx = multiprocessing.get_context("fork") if parallel else None
     try:
         while frontier_sets:
@@ -457,7 +454,7 @@ def enumerate_subgroup_classes(
             for els in sorted(candidates, key=lambda s: (len(s), s)):
                 cid, new = enum.register(els)
                 if new:
-                    fresh.append(enum.records[cid][0])
+                    fresh.append(enum.records[cid])
             frontier_sets = sorted(fresh, key=lambda s: (len(s), s))
             layer += 1
             if checkpoint is not None:
@@ -465,51 +462,23 @@ def enumerate_subgroup_classes(
                     {
                         "order": n,
                         "layer": layer,
-                        "classes": [list(r[0]) for r in enum.records],
+                        "classes": [list(els) for els in enum.records],
                         "frontier": [list(els) for els in frontier_sets],
                     }
                 )
     finally:
         _WORKER.clear()
 
-    out = []
-    for fingerprint, order, orbit_size in enum.records:
-        out.append(
-            SubgroupClass(
-                parent_degree=enum.degree_label,
-                generators=enum.small_generating_set(fingerprint),
-                element_set=fingerprint,
-                order=order,
-                fingerprint=fingerprint,
-                orbit_size=orbit_size,
-            )
+    out = [
+        SubgroupClass(
+            generators=enum.small_generating_set(els),
+            element_set=els,
+            order=len(els),
         )
-    out.sort(key=lambda c: (c.order, c.fingerprint))
+        for els in enum.records
+    ]
+    out.sort(key=lambda c: (c.order, c.element_set))
     return out
-
-
-def is_conjugate(group, a: SubgroupClass, b: SubgroupClass) -> bool:
-    """Conjugacy of two classes from the same parent enumeration."""
-    for cls in (a, b):
-        if cls.element_set and cls.element_set[-1] >= group.order:
-            raise ValueError("class does not come from this parent group")
-    return a.fingerprint == b.fingerprint
-
-
-def class_of_subgroup(group, element_indices) -> SubgroupClass:
-    """Canonical class record of one concrete subgroup given by its elements."""
-    enum = _Enumerator(group)
-    els = tuple(sorted(set(element_indices)))
-    cid, _ = enum.register(els)
-    fingerprint, order, orbit_size = enum.records[cid]
-    return SubgroupClass(
-        parent_degree=enum.degree_label,
-        generators=enum.small_generating_set(fingerprint),
-        element_set=fingerprint,
-        order=order,
-        fingerprint=fingerprint,
-        orbit_size=orbit_size,
-    )
 
 
 # ── seeded random reflection subgroups for the big degrees ─────────────────
@@ -526,18 +495,14 @@ class SampledSubgroup:
 
 
 def sample_subgroups(
-    degree_spec: int | str,
-    count: int,
-    seed: int,
-    order_cap: int = 5000,
-    retry_factor: int = 50,
+    degree_spec: int | str, count: int, seed: int
 ) -> list[SampledSubgroup]:
     """Random reflection subgroups of the degree-1 or degree-2 Weyl group.
 
     Each sample is generated by a few reflections in randomly chosen roots,
     conjugated by short random words in further reflections; closures that
-    exceed ``order_cap`` are discarded and redrawn.  Deterministic for a
-    fixed seed.
+    exceed ``SAMPLE_ORDER_CAP`` are discarded and redrawn.  Deterministic
+    for a fixed seed.
     """
     lattice = build_picard_lattice(degree_spec)
     if lattice.degree_label not in ("1", "2"):
@@ -548,12 +513,12 @@ def sample_subgroups(
     lo, hi = SAMPLE_GENERATOR_COUNTS
     samples: list[SampledSubgroup] = []
     attempts = 0
-    max_attempts = max(1, retry_factor * count)
+    max_attempts = max(1, SAMPLE_RETRY_FACTOR * count)
     while len(samples) < count:
         if attempts >= max_attempts:
             raise SampleError(
                 f"drew {attempts} candidates but only {len(samples)} of "
-                f"{count} fit under order cap {order_cap}"
+                f"{count} fit under order cap {SAMPLE_ORDER_CAP}"
             )
         attempts += 1
         k = rng.randint(lo, hi)
@@ -570,7 +535,7 @@ def sample_subgroups(
                 perm = mult_perm(p, mult_perm(perm, p))
             gen_mats.append(mat)
             gen_perms.append(perm)
-        closed = closure_of_perms(gen_perms, cap=order_cap)
+        closed = closure_of_perms(gen_perms, cap=SAMPLE_ORDER_CAP)
         if closed is None:
             continue
         digest = blake2b(

@@ -26,17 +26,12 @@ from .zcohomology import (
     transpose,
 )
 
+# most elements a fully enumerated group may have
 GROUP_BUDGET = 10**7
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a closure outgrows its element budget.
-
-    ``partial_count`` carries how many distinct elements had been found."""
-
-    def __init__(self, message: str, partial_count: int):
-        super().__init__(message)
-        self.partial_count = partial_count
+    """Raised when a group closure outgrows ``GROUP_BUDGET`` elements."""
 
 
 def reflection(lattice: PicardLattice, root: Vector) -> Matrix:
@@ -246,15 +241,15 @@ class PermGroupTable:
     ``elements`` is the closure of the generators in discovery order, so
     ``elements[0]`` is the identity; ``index`` inverts the listing and
     ``tables[i]`` is element i padded for ``bytes.translate``.  Past
-    ``budget`` elements the closure stops with BudgetExceeded.
+    ``GROUP_BUDGET`` elements the closure stops with BudgetExceeded.
     """
 
-    def __init__(self, generator_perms: list[bytes], budget: int | None = None):
+    def __init__(self, generator_perms: list[bytes]):
         if not generator_perms:
             raise ValueError("need at least one permutation (use the identity)")
-        elements = closure_of_perms(generator_perms, cap=budget)
+        elements = closure_of_perms(generator_perms, cap=GROUP_BUDGET)
         if elements is None:
-            raise BudgetExceeded(f"group closure exceeded budget {budget}", budget)
+            raise BudgetExceeded(f"group closure exceeded budget {GROUP_BUDGET}")
         self.elements: list[bytes] = elements
         self.tables: list[bytes] = [pad_table(p) for p in elements]
         self.index: dict[bytes, int] = {p: k for k, p in enumerate(elements)}
@@ -273,9 +268,6 @@ class PermGroupTable:
             self._inverse = [self.index[invert_perm(p)] for p in self.elements]
         return self._inverse[i]
 
-    def order_of(self, i: int) -> int:
-        return perm_order(self.elements[i])
-
 
 class MatrixGroup(PermGroupTable):
     """Matrix group of a Picard lattice, enumerated by its action on the lines.
@@ -287,21 +279,15 @@ class MatrixGroup(PermGroupTable):
     single line), which is sound because every element fixes it.
     """
 
-    def __init__(
-        self,
-        lattice: PicardLattice,
-        generator_matrices: tuple[Matrix, ...],
-        budget: int = GROUP_BUDGET,
-    ):
+    def __init__(self, lattice: PicardLattice, generator_matrices: tuple[Matrix, ...]):
         for g in generator_matrices:
             if not is_isometry(lattice, g):
                 raise ValueError("generator is not an isometry fixing K")
         self.lattice = lattice
-        self.generator_matrices = tuple(generator_matrices)
         self.lines = lattice.lines()
         perms = line_permutations(self.lines, generator_matrices)
         # without generators the identity alone seeds the closure
-        super().__init__(perms or [bytes(range(len(self.lines)))], budget)
+        super().__init__(perms or [bytes(range(len(self.lines)))])
         self.generator_indices = tuple(self.index[p] for p in perms)
         # index len(lines) is K: every padded table fixes it, as every element does
         self._classes = self.lines + (lattice.canonical,)
@@ -338,22 +324,17 @@ class MatrixGroup(PermGroupTable):
             raise AssertionError(f"element {i} does not act integrally")
         return tuple(tuple(x // d for x in row) for row in product)
 
-    def perm_of_matrix(self, matrix: Matrix) -> bytes:
-        return line_permutations(self.lines, (matrix,))[0]
-
 
 def generate_group(
-    lattice: PicardLattice,
-    generators: tuple[Matrix, ...],
-    budget: int = GROUP_BUDGET,
+    lattice: PicardLattice, generators: tuple[Matrix, ...]
 ) -> MatrixGroup:
     """Breadth-first closure of the generators inside the isometry group.
 
     Deterministic: elements are numbered in discovery order with the
     generator list applied in the given order, so indices are reproducible.
-    Raises BudgetExceeded (carrying the count reached) past ``budget``.
+    Raises BudgetExceeded past ``GROUP_BUDGET`` elements.
     """
-    group = MatrixGroup(lattice, generators, budget)
+    group = MatrixGroup(lattice, generators)
     # every element must be a K-fixing isometry: check all when small,
     # a deterministic sample when reconstruction would dominate runtime
     if group.order <= 10_000:
@@ -367,7 +348,7 @@ def generate_group(
     return group
 
 
-def weyl_group(lattice: PicardLattice, budget: int = GROUP_BUDGET) -> MatrixGroup:
+def weyl_group(lattice: PicardLattice) -> MatrixGroup:
     """The full Weyl group, generated by reflections in the simple roots."""
     gens = tuple(reflection(lattice, r) for r in lattice.simple_roots())
-    return generate_group(lattice, gens, budget=budget)
+    return generate_group(lattice, gens)

@@ -27,10 +27,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     rows_b = len(b)
     if rows_b == 0:
@@ -320,10 +316,6 @@ class AbelianGroupStructure:
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
     @classmethod
     def from_diagonal(cls, diagonal: Iterable[int]) -> "AbelianGroupStructure":
         return cls(tuple(d for d in diagonal if d > 1))
@@ -373,15 +365,6 @@ class GModule:
                 raise ValueError("action matrix is not unimodular")
 
 
-def fixed_sublattice(module: GModule) -> tuple[Vector, ...]:
-    """Basis of the sublattice fixed by every generator.  Saturated."""
-    if not module.action:
-        return columns_of(identity_matrix(module.rank))
-    ident = identity_matrix(module.rank)
-    stacked = stack_rows(mat_sub(g, ident) for g in module.action)
-    return kernel_basis(stacked)
-
-
 # ── H^1 via the fixed-points-mod-n identity ─────────────────────────────────
 
 
@@ -393,7 +376,7 @@ class H1Result:
     L/(M^G + nM) is the cohomology group.  ``to_invariant`` maps L-coordinates
     to the invariant-factor coordinates recorded in ``annihilators`` (length
     rank, entries including the trivial 1 factors), which is what induced
-    maps are written against.
+    maps are written against.  ``fixed_basis`` is a saturated basis of M^G.
     """
 
     structure: AbelianGroupStructure

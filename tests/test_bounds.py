@@ -1,5 +1,7 @@
 """Effective torsion bounds and the uniform order bound."""
 
+from math import prod
+
 import pytest
 
 from logk3.bounds import (
@@ -77,7 +79,7 @@ def test_torsion_bound_descriptor():
 
 
 def test_torsion_bound_value_m1():
-    value = torsion_bound(1).value
+    value = torsion_bound(1).evaluate()
     # every per-prime factor divides the product
     for p in (2, 3, 5, 7, 11, 8297):
         assert value % torsion_bound(1).max_power(p) == 0
@@ -88,10 +90,9 @@ def test_torsion_bound_value_m1():
     nb = torsion_bound(1)
     small = nb.evaluate(restrict_cap=10)
     assert small == nb.max_power(2) * nb.max_power(3) * nb.max_power(5) * nb.max_power(7)
-    assert nb.evaluate(restrict_primes=[2, 3, 5, 7]) == small
-    assert nb.evaluate(restrict_primes=[20011]) == 1  # outside the window
-    with pytest.raises(ValueError):
-        nb.evaluate(restrict_primes=[4])
+    assert nb.evaluate(restrict_cap=7) == small
+    # a cap past the prime cap is the whole window
+    assert nb.evaluate(restrict_cap=20011) == value
 
 
 def test_torsion_bound_feasibility_refusal():
@@ -101,8 +102,10 @@ def test_torsion_bound_feasibility_refusal():
     assert not nb.evaluable
     with pytest.raises(FeasibilityError):
         nb.evaluate()
-    # a restricted window still works
-    assert nb.evaluate(restrict_primes=[101]) == 101 ** 3
+    # a restricted window still works: 101 is its largest prime, capped at 101^3
+    window = nb.evaluate(restrict_cap=101)
+    assert window == prod(nb.max_power(p) for p in _sieve(101))
+    assert window % 101**3 == 0 and window % 101**4 != 0
 
 
 def test_value_size_refusal():
@@ -118,8 +121,10 @@ def test_value_size_refusal():
     # a huge overridden constant counts against the limit too
     heavy = torsion_bound(1, BoundConfig(parent_constant_p2=10**MAX_VALUE_DIGITS))
     with pytest.raises(FeasibilityError):
-        heavy.evaluate(restrict_primes=[2])
-    assert heavy.evaluate(restrict_primes=[3, 5]) == 3**8 * 5**5
+        heavy.evaluate(restrict_cap=2)
+    # the same windows pass with the stated constant
+    assert torsion_bound(1).evaluate(restrict_cap=2) == 2**13
+    assert torsion_bound(1).evaluate(restrict_cap=5) == 2**13 * 3**8 * 5**5
 
 
 def test_uniform_bound_identity():

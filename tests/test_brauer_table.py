@@ -15,7 +15,6 @@ from logk3.brauer_table import (
     degree_context,
     diff_against_expected,
     expected_table,
-    row_for_subgroup,
     table_csv,
     table_from_json_dict,
     table_text,
@@ -179,8 +178,8 @@ def test_row_for_subgroup_lands_in_table():
     table = compute_table(6)
     mapping = table.mapping()
     for cls in enumerate_subgroup_classes(ctx.group):
-        brx, bru = row_for_subgroup(6, cls, ctx)
-        assert bru.invariant_factors in mapping[brx.invariant_factors]
+        analysis = brauer_table._analyze_class(ctx, cls)
+        assert analysis.bru.invariant_factors in mapping[analysis.brx.invariant_factors]
 
 
 def test_class_ident_shape():

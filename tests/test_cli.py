@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from logk3 import cache, cli
-from logk3.bounds import TorsionBound, brauer_uniform_bound
+from logk3.bounds import TorsionBound, brauer_uniform_bound, torsion_bound
 from logk3.lattice import build_picard_lattice
 
 CLI = [sys.executable, "-m", "logk3.cli"]
@@ -100,6 +101,31 @@ def test_budget_refusal_exit_code(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 3
+    # the refusal reports how far the enumeration got: the seed classes
+    # (trivial, whole group, one cyclic subgroup per element class), no layer
+    progress = re.fullmatch(
+        r"subgroup enumeration ran out of time: (\d+) classes found, "
+        r"(\d+) layers completed\n",
+        proc.stderr,
+    )
+    assert progress is not None, proc.stderr
+    assert int(progress[1]) > 2
+    assert int(progress[2]) == 0
+
+
+def test_failed_cache_write_keeps_the_result(tmp_path, capsys):
+    # a directory under a regular file cannot be created, even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["table", "--degree", "7", "--format", "json", "--jobs", "1"]
+    assert cli.main(argv + ["--no-cache"]) == 0
+    fresh = capsys.readouterr().out
+    assert cli.main(argv + ["--cache-dir", str(blocker / "sub")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh
+    notes = captured.err.splitlines()
+    assert len(notes) == 1
+    assert notes[0].startswith("table degree 7: cache write failed (")
 
 
 def test_lines_and_roots(tmp_path):
@@ -266,6 +292,8 @@ def test_main_reuses_one_parser(capsys):
         ["bound", "-m", "1", "--evaluate-cap", "-5"],
         ["h1", "--degree", "6", "--subgroup", "0", "--order-cap", "0"],
         ["h1", "--degree", "6", "--subgroup", "0", "--order-cap", "-1"],
+        ["table", "--degree", "7", "--no-cache", "--jobs", "0"],
+        ["verify-paper", "--no-cache", "--jobs", "-4"],
     ],
 )
 def test_caps_below_their_minimum_are_usage_errors(argv, capsys):
@@ -288,6 +316,18 @@ def test_caps_at_their_minimum(capsys):
     h1 = ["h1", "--degree", "6", "--subgroup", "0", "--order-cap"]
     assert cli.main(h1 + ["2"]) == 0
     assert cli.main(h1 + ["1"]) == 3
+
+
+def test_bound_prints_the_prime_cap_past_the_str_limit(monkeypatch, capsys):
+    # the descriptor's 4581-digit prime cap prints through decimal_str, so
+    # an int-to-str limit of 4000 digits does not reach it
+    monkeypatch.setattr(cli, "INT_STR_DIGITS", 4000)
+    try:
+        assert cli.main(["bound", "-m", "40", "--format", "json"]) == 0
+    finally:
+        sys.set_int_max_str_digits(2_000_000)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["torsion_bound"]["prime_cap"] == torsion_bound(9600).prime_cap
 
 
 def test_bound_value_size_refusal(tmp_path):

@@ -2,7 +2,8 @@
 
 Counts are pinned against a brute-force oracle that closes every pair of
 elements and dedupes by explicit whole-group conjugation; the layered
-enumerator must agree on classes, orders and orbit sizes.  The brute
+enumerator must agree on classes and orders, and pick the canonical member
+of each class.  The brute
 force is complete for parents whose subgroups are all 2-generated, which
 holds for every group it is applied to here.
 """
@@ -12,21 +13,19 @@ import time
 
 import pytest
 
+from logk3 import subgroups
 from logk3.lattice import build_picard_lattice
 from logk3.subgroups import (
     DeadlineExceeded,
     SampleError,
-    SubgroupClass,
     TierExceeded,
     _Enumerator,
-    class_of_subgroup,
     closure_indices,
     closure_of_perms,
     enumerate_subgroup_classes,
-    is_conjugate,
     sample_subgroups,
 )
-from logk3.weyl import PermGroupTable, weyl_group
+from logk3.weyl import PermGroupTable, perm_order, weyl_group
 
 
 def perm_from_cycles(npts, *cycles):
@@ -112,26 +111,24 @@ def test_class_counts_match_oracle(name):
     orbits = brute_force_classes(group)
     want_classes, want_total = EXPECTED[name]
     assert len(classes) == want_classes == len(orbits)
-    assert sum(c.orbit_size for c in classes) == want_total
     assert sum(len(o) for o in orbits) == want_total
 
-    by_fingerprint = {frozenset(c.element_set): c for c in classes}
+    by_element_set = {frozenset(c.element_set): c for c in classes}
     for orbit in orbits:
         # exactly one enumerated representative per brute-force orbit,
-        # carrying the right order and orbit size
-        reps = [by_fingerprint[s] for s in orbit if s in by_fingerprint]
+        # carrying the right order, and it is the orbit's smallest member
+        reps = [by_element_set[s] for s in orbit if s in by_element_set]
         assert len(reps) == 1
-        assert reps[0].orbit_size == len(orbit)
         assert reps[0].order == len(next(iter(orbit)))
+        assert reps[0].element_set == min(tuple(sorted(s)) for s in orbit)
 
 
 def test_classes_are_sorted_and_canonical():
     group = symmetric_group(4)
     classes = enumerate_subgroup_classes(group)
-    keys = [(c.order, c.fingerprint) for c in classes]
+    keys = [(c.order, c.element_set) for c in classes]
     assert keys == sorted(keys)
     for c in classes:
-        assert c.element_set == c.fingerprint
         assert c.element_set == tuple(sorted(c.element_set))
         assert c.order == len(c.element_set)
         assert c.element_set[0] == 0
@@ -143,28 +140,40 @@ def test_classes_are_sorted_and_canonical():
 def test_fingerprint_is_conjugation_invariant():
     group = symmetric_group(5)
     classes = enumerate_subgroup_classes(group)
+    # the enumerator's own class lookup: register walks each class's whole
+    # conjugation orbit, so every conjugate is found under the class's id
+    enum = _Enumerator(group)
+    ids = [enum.register(cls.element_set) for cls in classes]
+    assert [new for _, new in ids] == [True] * len(classes)
+    assert enum.records == [cls.element_set for cls in classes]
     rng = random.Random(9)
     for _ in range(20):
-        cls = rng.choice(classes)
+        k = rng.randrange(len(classes))
         g = rng.randrange(group.order)
         ginv = group.inverse(g)
-        conjugated = [group.mult(g, group.mult(x, ginv)) for x in cls.element_set]
-        again = class_of_subgroup(group, conjugated)
-        assert again.fingerprint == cls.fingerprint
-        assert is_conjugate(group, cls, again)
+        conjugated = tuple(
+            sorted(group.mult(g, group.mult(x, ginv)) for x in classes[k].element_set)
+        )
+        assert enum.lookup(conjugated) == ids[k][0]
+        assert enum.register(conjugated) == (ids[k][0], False)
 
 
-def test_plain_and_normalizer_paths_agree():
+def test_plain_and_normalizer_paths_agree(monkeypatch):
     for group in (symmetric_group(4), symmetric_group(5)):
-        plain = enumerate_subgroup_classes(group, double_coset_threshold=10**9)
-        reduced = enumerate_subgroup_classes(group, double_coset_threshold=0)
+        monkeypatch.setattr(subgroups, "DOUBLE_COSET_THRESHOLD", 10**9)
+        plain = enumerate_subgroup_classes(group)
+        monkeypatch.setattr(subgroups, "DOUBLE_COSET_THRESHOLD", 0)
+        reduced = enumerate_subgroup_classes(group)
         assert plain == reduced
 
 
-def test_parallel_equals_serial():
+def test_parallel_equals_serial(monkeypatch):
+    # under the threshold S5 (order 120) would never fork; the forked
+    # workers inherit the patched value
+    monkeypatch.setattr(subgroups, "DOUBLE_COSET_THRESHOLD", 50)
     group = symmetric_group(5)
-    serial = enumerate_subgroup_classes(group, jobs=1, double_coset_threshold=50)
-    twice = enumerate_subgroup_classes(group, jobs=2, double_coset_threshold=50)
+    serial = enumerate_subgroup_classes(group, jobs=1)
+    twice = enumerate_subgroup_classes(group, jobs=2)
     assert serial == twice
 
 
@@ -172,8 +181,10 @@ def test_weyl_degree6_classes():
     group = weyl_group(build_picard_lattice(6))
     classes = enumerate_subgroup_classes(group)
     assert len(classes) == 10
-    assert sum(c.orbit_size for c in classes) == 16
-    assert classes[0].parent_degree == "6"
+    # W(A2xA1) = S3 x C2 has 16 subgroups, all 2-generated
+    orbits = brute_force_classes(group)
+    assert len(orbits) == 10
+    assert sum(len(o) for o in orbits) == 16
     orders = sorted(c.order for c in classes)
     assert orders == [1, 2, 2, 2, 3, 4, 6, 6, 6, 12]
 
@@ -186,7 +197,7 @@ def test_element_classes():
     for x in range(group.order):
         for y in range(group.order):
             if ids[x] == ids[y]:
-                assert group.order_of(x) == group.order_of(y)
+                assert perm_order(group.elements[x]) == perm_order(group.elements[y])
     # W(A2xA1) = S3 x C2 has 6 conjugacy classes, one cyclic seed each
     assert len(set(ids)) == 6
     assert len(enum.cyclic_seeds()) == 6
@@ -301,7 +312,9 @@ def test_sample_subgroups_rejects_enumerv_degrees():
         sample_subgroups(6, count=1, seed=0)
 
 
-def test_sample_retry_exhaustion():
+def test_sample_retry_exhaustion(monkeypatch):
     # an order cap of 1 rejects everything except the trivial closure
-    with pytest.raises(SampleError):
-        sample_subgroups(2, count=3, seed=0, order_cap=1, retry_factor=2)
+    monkeypatch.setattr(subgroups, "SAMPLE_ORDER_CAP", 1)
+    monkeypatch.setattr(subgroups, "SAMPLE_RETRY_FACTOR", 2)
+    with pytest.raises(SampleError, match="drew 6 candidates"):
+        sample_subgroups(2, count=3, seed=0)

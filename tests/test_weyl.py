@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from logk3 import weyl
 from logk3.lattice import build_picard_lattice
 from logk3.subgroups import _Enumerator
 from logk3.weyl import (
@@ -150,14 +151,17 @@ def test_matrix_of_identity_where_lines_do_not_span(groups):
 
 
 def test_matrix_of_matches_generator_products():
-    g = weyl_group(build_picard_lattice(3))
+    lat = build_picard_lattice(3)
+    g = weyl_group(lat)
+    # weyl_group is generated by the simple reflections, in this order
+    matrices = [reflection(lat, r) for r in lat.simple_roots()]
     rng = random.Random(3)
     gens = range(len(g.generator_indices))
     for _ in range(25):
         index, matrix = 0, identity_matrix(g.lattice.rank)
         for w in rng.choices(gens, k=rng.randint(1, 15)):
             index = g.mult(index, g.generator_indices[w])
-            matrix = mat_mul(matrix, g.generator_matrices[w])
+            matrix = mat_mul(matrix, matrices[w])
         assert g.matrix_of(index) == matrix
 
 
@@ -166,7 +170,7 @@ def test_matrix_perm_round_trip(groups):
     rng = random.Random(55)
     for _ in range(15):
         i = rng.randrange(g.order)
-        assert g.perm_of_matrix(g.matrix_of(i)) == g.elements[i]
+        assert line_permutations(g.lines, (g.matrix_of(i),))[0] == g.elements[i]
 
 
 def test_perm_helpers():
@@ -179,21 +183,22 @@ def test_perm_helpers():
     assert mult_perm(p, q) == bytes((0, 2, 1))
 
 
-def test_order_of_matches_perm_order(groups):
+def test_perm_order_is_the_element_order(groups):
     g = groups["6"]
     for i in range(g.order):
-        k = g.order_of(i)
-        assert k == perm_order(g.elements[i])
+        k = perm_order(g.elements[i])
         acc = 0
-        for _ in range(k):
+        for power in range(1, k + 1):
             acc = g.mult(acc, i)
-        assert acc == 0
+            # the identity first comes back at the k-th power
+            assert (acc == 0) == (power == k)
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
+    monkeypatch.setattr(weyl, "GROUP_BUDGET", 100)
     lat = build_picard_lattice(4)
-    with pytest.raises(BudgetExceeded):
-        weyl_group(lat, budget=100)
+    with pytest.raises(BudgetExceeded, match="budget 100"):
+        weyl_group(lat)
 
 
 def test_generate_group_subgroup():
