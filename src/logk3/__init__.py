@@ -17,7 +17,6 @@ from .bounds import (
     merel_prime_bound,
     parent_prime_power_bound,
     torsion_bound,
-    torsion_bound_monotone,
 )
 from .brauer_table import (
     BrauerTable,
@@ -93,7 +92,6 @@ __all__ = [
     "smith_normal_form",
     "table_from_json_dict",
     "torsion_bound",
-    "torsion_bound_monotone",
     "verify_lemma_properties",
     "verify_prop_bounds",
     "weyl_group",

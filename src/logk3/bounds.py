@@ -72,13 +72,15 @@ def _sieve(cap: int) -> list[int]:
     return [i for i in range(cap + 1) if marks[i]]
 
 
-def _check_size(bits: int) -> None:
+def _check_size(
+    bits: int, subject: str = "the value", remedy: str = "narrow the prime window"
+) -> None:
     """Refuse a value of at most ``bits`` bits if it could pass the limit."""
     digits = bits * 30103 // 100000 + 1
     if digits > MAX_VALUE_DIGITS:
         raise FeasibilityError(
-            f"the value could have {digits} digits, over the "
-            f"{MAX_VALUE_DIGITS}-digit limit - narrow the prime window"
+            f"{subject} could have {digits} digits, over the "
+            f"{MAX_VALUE_DIGITS}-digit limit - {remedy}"
         )
 
 
@@ -217,6 +219,10 @@ def torsion_bound(m: int, config: BoundConfig = BoundConfig()) -> TorsionBound:
     """N̂(m): per-prime maximal torsion orders multiplied over all primes."""
     if m < 1:
         raise ValueError("the field degree must be a positive integer")
+    # 65·(3^m - 1)·(2m)^6 has at most this many bits (log2 3 < 1.58497);
+    # a cap that could pass the size limit is refused before 3^m is formed
+    cap_bits = 7 + m * 158497 // 100000 + 1 + 6 * (2 * m).bit_length()
+    _check_size(cap_bits, "the prime cap", "choose a smaller field degree")
     return TorsionBound(m=m, prime_cap=_parent_formula(m), config=config)
 
 
@@ -284,22 +290,3 @@ def brauer_uniform_bound(
         torsion=torsion_bound(degree, config),
     )
 
-
-def torsion_bound_monotone(m1: int, m2: int, config: BoundConfig = BoundConfig()) -> bool:
-    """Certify N̂(m1) ≤ N̂(m2) for m1 ≤ m2 without evaluating the products.
-
-    The prime window grows with m and each per-prime cap grows with m, so
-    every factor of the smaller product divides into a factor at least as
-    large in the bigger one; the remaining primes contribute factors ≥ 2.
-    """
-    if m1 > m2:
-        return torsion_bound_monotone(m2, m1, config)
-    a = torsion_bound(m1, config)
-    b = torsion_bound(m2, config)
-    if a.prime_cap > b.prime_cap:
-        return False
-    # per-prime growth follows from the formula; overrides are m-independent
-    for p in (2, 3, 5, 7):
-        if a.max_power(p) > b.max_power(p):
-            return False
-    return _parent_formula(m1) <= _parent_formula(m2)

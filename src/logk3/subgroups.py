@@ -10,8 +10,10 @@ until no new classes appear.  Three facts keep this complete and affordable:
   double cosets costs more than it saves);
 * every subgroup is generated by its elements of prime power order, so
   double cosets containing none can be skipped;
-* a proper subgroup has at most half the parent's elements, so a closure
-  that grows past n/2 is the whole group and can stop early.
+* <H, g> is a union of right cosets Hx, namely those the coset H reaches
+  under right multiplication by the generators, so the closure walks the
+  cosets of H instead of the elements; a proper subgroup holds at most
+  half of them, so a walk that passes half is the whole group and stops.
 
 Conjugacy classes are identified by a canonical element set, the
 lexicographically smallest sorted element-index set among all conjugates.
@@ -27,6 +29,8 @@ import time
 from array import array
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import chain
+from typing import NamedTuple
 
 from .lattice import build_picard_lattice
 from .weyl import (
@@ -83,14 +87,8 @@ class SubgroupClass:
     order: int
 
 
-def closure_indices(
-    group, generator_indices, abort_above: int | None = None
-) -> tuple[int, ...] | None:
-    """Smallest subgroup containing the given elements, as sorted indices.
-
-    Returns None as soon as the closure would grow past ``abort_above``
-    elements.
-    """
+def closure_indices(group, generator_indices) -> tuple[int, ...]:
+    """Smallest subgroup containing the given elements, as sorted indices."""
     elements, tables, index = group.elements, group.tables, group.index
     seen = {0}
     queue = [0]
@@ -105,12 +103,22 @@ def closure_indices(
         for g in generator_indices:
             y = index[elements[g].translate(table)]
             if y not in seen:
-                if abort_above is not None and len(seen) >= abort_above:
-                    return None
                 seen.add(y)
                 queue.append(y)
     assert group.order % len(seen) == 0, "closure violates Lagrange"
     return tuple(sorted(seen))
+
+
+class RightCosets(NamedTuple):
+    """The right cosets Hx of a subgroup H, numbered from H itself (coset 0).
+
+    ``ids[x]`` is the coset of element x, ``reps[c]`` the smallest element
+    of coset c and ``members[c]`` its elements.
+    """
+
+    ids: array
+    reps: list[int]
+    members: list[list[int]]
 
 
 def _is_prime_power(n: int) -> bool:
@@ -150,7 +158,9 @@ class _Enumerator:
                 step = ginv_perm.translate(self.tables[x])
                 arr[x] = self.index[step.translate(gtable)]
             self.conj_arrays.append(arr)
-        self.prime_power = [_is_prime_power(perm_order(p)) for p in self.elements]
+        self.prime_power_elements = [
+            x for x, p in enumerate(self.elements) if _is_prime_power(perm_order(p))
+        ]
         self.digests: dict[bytes, int] = {}
         # the canonical element set of each class, indexed by class id
         self.records: list[tuple[int, ...]] = []
@@ -226,8 +236,59 @@ class _Enumerator:
             out.append(tuple(sorted(powers)))
         return out
 
-    def extension_candidates(self, els: tuple[int, ...], gens: tuple[int, ...]):
-        """Extension elements for a representative, reduced by symmetry.
+    def right_cosets(self, els: tuple[int, ...]) -> RightCosets:
+        """The right cosets of the subgroup H = ``els``."""
+        elements, tables, index = self.elements, self.tables, self.index
+        ids = array("i", [-1]) * self.n
+        reps: list[int] = []
+        members: list[list[int]] = []
+        for x in range(self.n):
+            if ids[x] >= 0:
+                continue
+            cid = len(reps)
+            xperm = elements[x]
+            coset = [index[xperm.translate(tables[h])] for h in els]
+            for y in coset:
+                ids[y] = cid
+            reps.append(x)
+            members.append(coset)
+        return RightCosets(ids, reps, members)
+
+    def coset_closure(
+        self, cosets: RightCosets, gens: tuple[int, ...]
+    ) -> tuple[int, ...] | None:
+        """<gens> as sorted indices, for ``gens`` generating a group that
+        contains H, the subgroup whose right cosets ``cosets`` lists.
+
+        G acts on the right cosets by right multiplication, so <gens> is the
+        union of the cosets that H reaches under ``gens``.  A proper subgroup
+        holds at most half of the cosets, so once the walk passes half it
+        stops and returns None: the closure is the whole group.
+        """
+        ids, reps, members = cosets
+        elements, tables, index = self.elements, self.tables, self.index
+        ncosets = len(reps)
+        half = ncosets // 2
+        gen_perms = [elements[g] for g in gens]
+        seen = bytearray(ncosets)
+        seen[0] = 1
+        reached = [0]
+        # the loop also visits the cosets appended while it runs
+        for current in reached:
+            table = tables[reps[current]]
+            for gperm in gen_perms:
+                c = ids[index[gperm.translate(table)]]
+                if not seen[c]:
+                    if len(reached) >= half:
+                        return None
+                    seen[c] = 1
+                    reached.append(c)
+        assert ncosets % len(reached) == 0, "closure violates Lagrange"
+        return tuple(sorted(chain.from_iterable(members[c] for c in reached)))
+
+    def extension_candidates(self, cosets: RightCosets, gens: tuple[int, ...]):
+        """Extension elements for a representative H generated by ``gens``,
+        reduced by symmetry.
 
         One candidate per right coset for small parents.  For large parents
         cosets are merged into orbits under right multiplication by H and
@@ -238,48 +299,30 @@ class _Enumerator:
         """
         n = self.n
         elements, tables, index = self.elements, self.tables, self.index
-        member = bytearray(n)
-        for x in els:
-            member[x] = 1
-        coset_id = array("i", [-1]) * n
-        coset_reps: list[int] = []
-        coset_pp: list[bool] = []
-        prime_power = self.prime_power
-        for x in range(n):
-            if coset_id[x] >= 0:
-                continue
-            cid = len(coset_reps)
-            coset_reps.append(x)
-            has_pp = False
-            for h in els:
-                y = index[elements[x].translate(tables[h])]
-                coset_id[y] = cid
-                if prime_power[y]:
-                    has_pp = True
-            coset_pp.append(has_pp)
+        coset_id, coset_reps, members = cosets
         ncosets = len(coset_reps)
-        home = coset_id[0]
+        coset_pp = bytearray(ncosets)
+        for y in self.prime_power_elements:
+            coset_pp[coset_id[y]] = 1
+        # coset 0 is H itself
         if n <= DOUBLE_COSET_THRESHOLD or not gens:
-            for c in range(ncosets):
-                if c != home and coset_pp[c]:
+            for c in range(1, ncosets):
+                if coset_pp[c]:
                     yield coset_reps[c]
             return
         inverse = self.group.inverse
         # the normalizer is a union of cosets; test one representative each
         norm_reps = []
-        for c in range(ncosets):
-            if c == home:
-                continue
-            r = coset_reps[c]
+        for r in coset_reps[1:]:
             rtab = tables[r]
             rinv = elements[inverse(r)]
             if all(
-                member[index[rinv.translate(tables[s]).translate(rtab)]]
+                coset_id[index[rinv.translate(tables[s]).translate(rtab)]] == 0
                 for s in gens
             ):
                 norm_reps.append(r)
         ngens = list(gens)
-        covered = set(els)
+        covered = set(members[0])
         for r in norm_reps:
             if r in covered:
                 continue
@@ -289,8 +332,8 @@ class _Enumerator:
                 break
         conj_movers = [(elements[inverse(m)], tables[m]) for m in ngens]
         visited = bytearray(ncosets)
-        visited[home] = 1
-        for c in range(ncosets):
+        visited[0] = 1
+        for c in range(1, ncosets):
             if visited[c]:
                 continue
             orbit = [c]
@@ -344,20 +387,18 @@ def _extend_batch(enum: _Enumerator, reps, deadline: float | None):
     DeadlineExceeded itself, since that exception does not unpickle.
     """
     out: set[tuple[int, ...]] = set()
-    half = enum.n // 2
-    whole = tuple(range(enum.n))
     for els, gens in reps:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        for g in enum.extension_candidates(els, gens):
+        cosets = enum.right_cosets(els)
+        for g in enum.extension_candidates(cosets, gens):
             key = tuple(sorted((*gens, g)))
             if key in enum.closure_seen:
                 continue
             enum.closure_seen.add(key)
-            closed = closure_indices(enum.group, gens + (g,), abort_above=half)
-            if closed is None:
-                closed = whole
-            if enum.lookup(closed) is None:
+            closed = enum.coset_closure(cosets, gens + (g,))
+            # None is the whole group, registered before the first layer
+            if closed is not None and enum.lookup(closed) is None:
                 out.add(closed)
     return out
 

@@ -16,7 +16,6 @@ from logk3.bounds import (
     merel_prime_bound,
     parent_prime_power_bound,
     torsion_bound,
-    torsion_bound_monotone,
 )
 
 
@@ -155,10 +154,13 @@ def test_uniform_bound_json():
 
 
 def test_monotonicity_certificate():
-    for m in range(1, 7):
-        assert torsion_bound_monotone(m, m + 1)
-    assert torsion_bound_monotone(5, 2)  # symmetric in its arguments
-    assert torsion_bound_monotone(1, 100)
+    # N̂(m) grows with m: the prime window and every per-prime cap grow, so
+    # each factor of the smaller product divides one of the larger
+    for m1, m2 in [(m, m + 1) for m in range(1, 7)] + [(2, 5), (1, 100)]:
+        a, b = torsion_bound(m1), torsion_bound(m2)
+        assert a.prime_cap <= b.prime_cap
+        for p in (2, 3, 5, 7):
+            assert b.max_power(p) % a.max_power(p) == 0
 
 
 def test_monotone_agrees_with_direct_evaluation_where_possible():

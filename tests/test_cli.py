@@ -330,6 +330,19 @@ def test_bound_prints_the_prime_cap_past_the_str_limit(monkeypatch, capsys):
     assert payload["torsion_bound"]["prime_cap"] == torsion_bound(9600).prime_cap
 
 
+
+def test_bound_refuses_an_oversized_prime_cap_before_forming_it(capsys):
+    # m = 100000 puts 3^(240m), about 11.45M digits, in the prime cap: the
+    # size estimate refuses it (exit 3) before the power is formed
+    start = time.perf_counter()
+    assert cli.main(["bound", "-m", "100000", "--format", "json"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["exit_code"] == 3
+    assert "prime cap could have" in error["error"]
+
 def test_bound_value_size_refusal(tmp_path):
     # the cap is far below the prime-cap guard, but the value would have
     # millions of digits: refused (exit 3), not a usage error

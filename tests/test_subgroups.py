@@ -177,6 +177,45 @@ def test_parallel_equals_serial(monkeypatch):
     assert serial == twice
 
 
+
+def check_coset_closure(group, samples=None, seed=0):
+    """The coset closure of each representative/candidate pair the
+    enumeration extends against the element closure: the same sorted set,
+    and None exactly when the element closure is the whole group."""
+    enum = _Enumerator(group)
+    pairs = []
+    for cls in enumerate_subgroup_classes(group):
+        if cls.order < group.order:
+            cosets = enum.right_cosets(cls.element_set)
+            for g in enum.extension_candidates(cosets, cls.generators):
+                pairs.append((cosets, cls.generators + (g,)))
+    if samples is not None:
+        pairs = random.Random(seed).sample(pairs, samples)
+    outcomes = set()
+    for cosets, gens in pairs:
+        want = closure_indices(group, gens)
+        got = enum.coset_closure(cosets, gens)
+        if len(want) == group.order:
+            assert got is None
+        else:
+            assert got == want
+        outcomes.add(got is None)
+    # both the early stop and proper closures were exercised
+    assert outcomes == {True, False}
+
+
+def test_coset_closure_matches_element_closure(monkeypatch):
+    for threshold in (10**9, 0):
+        monkeypatch.setattr(subgroups, "DOUBLE_COSET_THRESHOLD", threshold)
+        for group in (symmetric_group(4), symmetric_group(5)):
+            check_coset_closure(group)
+
+
+def test_coset_closure_on_weyl_degree4_sample():
+    # W(D5), order 1920, extends by normalizer orbits of double cosets
+    group = weyl_group(build_picard_lattice(4))
+    check_coset_closure(group, samples=400, seed=4)
+
 def test_weyl_degree6_classes():
     group = weyl_group(build_picard_lattice(6))
     classes = enumerate_subgroup_classes(group)
